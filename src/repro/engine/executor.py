@@ -1,8 +1,26 @@
 """The batch evaluation engine: parallel, cache-aware, resumable.
 
-:class:`EvaluationEngine` executes homogeneous batches (:meth:`~EvaluationEngine.map`)
-and heterogeneous :class:`~repro.engine.tasks.TaskGraph`\\ s
-(:meth:`~EvaluationEngine.run_graph`) behind one set of guarantees:
+:class:`EvaluationEngine` has two entry points over one dispatch core.
+:meth:`~EvaluationEngine.map` evaluates independent items, and
+:meth:`~EvaluationEngine.run_graph` a
+:class:`~repro.engine.tasks.TaskGraph`.  Each hands the core an indexed
+task list of ``(fn, args, key, deps)``, with dependencies as indices;
+a graph is listed in its topological order.  The core applies one set
+of rules to both:
+
+* Journal restores come first (``map`` only), then every keyed task is
+  looked up in the cache before anything runs.  Keys are fixed when a
+  task is built, so no lookup waits on a dependency.
+* With ``workers=1``, or at most one task left to compute, the batch
+  runs in-process and no pool is built.
+* Otherwise one supervised pool of ``min(workers, pending)`` processes
+  runs the rest.  Ready tasks are submitted in list order, and a
+  dependent task once its dependencies have completed.  The work
+  functions are checked for picklability once, before the pool is
+  built.
+* Chaos injections fire by task position in the list.
+
+Behind both entry points sit the same guarantees:
 
 **Determinism.**  Results are assembled by task index/name, never by
 completion order, so a run with ``workers=4`` is bit-identical to
@@ -21,12 +39,13 @@ before every dispatch and between completions.  Cancellation is
 cooperative at task granularity: in-flight worker tasks finish, pending
 ones are dropped, and already-journaled results survive.
 
-**Resume.**  With a journal attached, every completed task is durably
-recorded (key + JSON value); re-running the same batch over the same
-journal restores completed tasks and computes only the rest — the same
-contract campaigns have, now for arbitrary parallel batches.
+**Resume.**  With a journal attached to :meth:`~EvaluationEngine.map`,
+every completed task is durably recorded (key + JSON value); re-running
+the same batch over the same journal restores completed tasks and
+computes only the rest — the same contract campaigns have, now for
+arbitrary parallel batches.
 
-**Fault tolerance.**  The process-pool backends are *supervised*: a
+**Fault tolerance.**  The process-pool backend is *supervised*: a
 worker that dies mid-task (OOM kill, segfault, chaos injection) breaks
 the pool, and the engine responds by respawning a fresh pool and
 re-dispatching only the tasks that had not completed — up to
@@ -56,6 +75,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -65,6 +85,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -110,6 +131,19 @@ def _stats_delta(before: CacheStats, after: CacheStats) -> CacheStats:
     )
 
 
+class _Task(NamedTuple):
+    """One unit of the dispatch core: ``fn(*args, *dep_results)``.
+
+    *deps* are indices of earlier tasks in the same list; *key* is the
+    task's cache key (``None`` bypasses the cache).
+    """
+
+    fn: Callable[..., Any]
+    args: Tuple[Any, ...]
+    key: Optional[str]
+    deps: Tuple[int, ...] = ()
+
+
 class _RunCounters:
     """Mutable fault-tolerance tallies for one engine run.
 
@@ -118,10 +152,9 @@ class _RunCounters:
     the supervisor reads whatever survived.
     """
 
-    __slots__ = ("executed", "retries", "respawns")
+    __slots__ = ("retries", "respawns")
 
     def __init__(self):
-        self.executed = 0
         self.retries = 0
         self.respawns = 0
 
@@ -187,27 +220,67 @@ class GraphResult:
         return self.values[name]
 
 
-def _obs_call(
+def _timed_call(
+    metrics: Optional["MetricsRegistry"],
+    tracer: Optional["Tracer"],
+    phase: str,
+    fn: Callable[..., Any],
+    args: Tuple[Any, ...],
+    **attrs: Any,
+) -> Tuple[Any, float]:
+    """Run one task as an ``engine task``: spanned and latency-timed.
+
+    Shared by the in-process loop and pool workers.  Returns
+    ``(value, seconds)``.
+    """
+    started = monotonic()
+    if tracer is not None:
+        with tracer.span("engine task", category="engine", phase=phase,
+                         **attrs):
+            value = fn(*args)
+    else:
+        value = fn(*args)
+    duration = monotonic() - started
+    if metrics is not None:
+        metrics.histogram(
+            "engine_task_seconds",
+            help="Wall-clock latency of engine-executed tasks.",
+            phase=phase,
+        ).observe(duration)
+    return value, duration
+
+
+def _worker_call(
+    chaos: Optional["ChaosPlan"],
+    index: int,
+    instrument: bool,
     ctx: Optional[Dict[str, Any]],
     phase: str,
     fn: Callable[..., Any],
     args: Tuple[Any, ...],
     perf: bool = False,
-) -> Tuple[Any, Dict[str, Any], Optional[Dict[str, Any]],
-           Optional[Dict[str, Any]]]:
-    """Run one task in a worker under fresh ambient instrumentation.
+) -> Any:
+    """Worker-side task entry point for chaos plans and instrumentation.
 
-    The worker builds its own registry (merged back by name) and, when a
+    Runs the plan's injection point (which may kill this worker process
+    or raise a transient fault), then the task.  With *instrument*, the
+    task runs under fresh ambient instrumentation: the worker builds its
+    own registry (merged back by name) and, when a
     :class:`~repro.obs.SpanContext` dict is shipped, its own tracer whose
     root span parents under the submitting span.  With *perf*, it also
     builds a worker-local :class:`~repro.obs.PerfRecorder` — DES kernels
     constructed inside the task account per-event-type self-time into it
     — and ships back its execute window (pid + wall start + duration) for
-    the parent's :class:`~repro.obs.AttributionReport`.  Returns
-    ``(value, metrics_snapshot, trace_payload, perf_record)`` — the
-    parent unwraps the value before assembly, so instrumented parallel
-    outputs stay bit-identical to uninstrumented ones.
+    the parent's :class:`~repro.obs.AttributionReport`.  Instrumented
+    calls return ``(value, metrics_snapshot, trace_payload,
+    perf_record)``; the parent unwraps the value before assembly, so
+    instrumented parallel outputs stay bit-identical to uninstrumented
+    ones.  Module-level so it pickles.
     """
+    if chaos is not None:
+        chaos.before_task(index, in_worker=True)
+    if not instrument:
+        return fn(*args)
     from ..obs.context import instrumented
     from ..obs.metrics import MetricsRegistry
     from ..obs.tracing import SpanContext, Tracer
@@ -224,18 +297,7 @@ def _obs_call(
         recorder.profiler.tick_task(leaf=f"task:{phase}")
     with instrumented(metrics=registry, tracer=tracer, perf=recorder):
         wall_start = walltime()
-        started = monotonic()
-        if tracer is not None:
-            with tracer.span("engine task", category="engine", phase=phase):
-                value = fn(*args)
-        else:
-            value = fn(*args)
-        duration = monotonic() - started
-        registry.histogram(
-            "engine_task_seconds",
-            help="Wall-clock latency of engine-executed tasks.",
-            phase=phase,
-        ).observe(duration)
+        value, duration = _timed_call(registry, tracer, phase, fn, args)
     payload = tracer.payload() if tracer is not None else None
     record = None
     if recorder is not None:
@@ -245,29 +307,6 @@ def _obs_call(
         record["wall_start"] = wall_start
         record["duration"] = duration
     return value, registry.to_dict(), payload, record
-
-
-def _worker_call(
-    chaos: Optional["ChaosPlan"],
-    index: int,
-    instrument: bool,
-    ctx: Optional[Dict[str, Any]],
-    phase: str,
-    fn: Callable[..., Any],
-    args: Tuple[Any, ...],
-    perf: bool = False,
-) -> Any:
-    """Worker-side task entry point when a chaos plan is attached.
-
-    Runs the plan's injection point (which may kill this worker process
-    or raise a transient fault) before delegating to the plain or
-    instrumented call path.  Module-level so it pickles.
-    """
-    if chaos is not None:
-        chaos.before_task(index, in_worker=True)
-    if instrument:
-        return _obs_call(ctx, phase, fn, args, perf)
-    return fn(*args)
 
 
 def _json_safe(value: Any) -> Any:
@@ -284,6 +323,11 @@ def _json_safe(value: Any) -> Any:
 
 class EvaluationEngine:
     """Cache-aware batch executor with serial and process-pool backends.
+
+    :meth:`map` and :meth:`run_graph` are thin adapters over one
+    dispatch core (see the module docstring for its rules): both share
+    the cache lookups, the in-process loop, the supervised pool with its
+    retries and respawns, and the per-task instrumentation.
 
     Parameters
     ----------
@@ -310,10 +354,12 @@ class EvaluationEngine:
         anything else — and the last retryable failure once attempts are
         exhausted — propagates unchanged.
     chaos:
-        Optional :class:`~repro.chaos.ChaosPlan` wired into every
-        :meth:`map` task (serial and worker-side), used by the
-        deterministic chaos harness to inject worker kills and transient
-        faults at planned task indices.  Production runs leave it None.
+        Optional :class:`~repro.chaos.ChaosPlan` wired into every task
+        of :meth:`map` and :meth:`run_graph` (serial and worker-side),
+        used by the deterministic chaos harness to inject worker kills
+        and transient faults at planned task positions: the item index
+        for :meth:`map`, the position in the graph's topological order
+        for :meth:`run_graph`.  Production runs leave it None.
     max_respawns:
         Worker-pool generations the supervisor may spawn to replace dead
         workers before declaring the batch failed.
@@ -408,138 +454,62 @@ class EvaluationEngine:
                 "workers=1"
             ) from exc
 
-    # -- instrumentation helpers ---------------------------------------
-    def _call_task(
-        self, fn: Callable[..., Any], args: Tuple[Any, ...], phase: str,
-        **attrs: Any,
-    ) -> Any:
-        """Run one task in-process, spanned and latency-timed."""
-        if self._metrics is None and self._tracer is None:
-            return fn(*args)
-        started = monotonic()
-        if self._tracer is not None:
-            with self._tracer.span(
-                "engine task", category="engine", phase=phase, **attrs
-            ):
-                value = fn(*args)
-        else:
-            value = fn(*args)
-        if self._metrics is not None:
-            self._metrics.histogram(
-                "engine_task_seconds",
-                help="Wall-clock latency of engine-executed tasks.",
-                phase=phase,
-            ).observe(monotonic() - started)
-        return value
+    def _span(self, name: str):
+        if self._tracer is None:
+            return nullcontext()
+        return self._tracer.span(name, category="engine")
 
-    # -- fault tolerance helpers ---------------------------------------
-    def _should_retry(self, exc: BaseException, attempt: int) -> bool:
+    @property
+    def _instrumented(self) -> bool:
         return (
-            self.retry is not None
-            and self.retry.is_retryable(exc)
-            and attempt < self.retry.max_attempts
+            self._metrics is not None
+            or self._tracer is not None
+            or self._perf is not None
         )
 
-    def _retry_pause(self, attempt: int) -> None:
+    # -- fault tolerance helpers ---------------------------------------
+    def _retry_or_raise(
+        self, exc: BaseException, attempt: int, counters: _RunCounters
+    ) -> None:
+        """Count one retry of failed *attempt* and back off, or re-raise."""
+        if (
+            self.retry is None
+            or not self.retry.is_retryable(exc)
+            or attempt >= self.retry.max_attempts
+        ):
+            raise exc
+        counters.retries += 1
         delay = self.retry.backoff_delay(attempt - 1)
         if delay > 0.0:
             time.sleep(delay)
 
     def _call_serial(
         self,
+        index: int,
         fn: Callable[..., Any],
         args: Tuple[Any, ...],
         phase: str,
-        chaos_index: Optional[int],
         counters: _RunCounters,
-        **attrs: Any,
+        attrs: Dict[str, Any],
     ) -> Tuple[Any, int]:
-        """Run one task in-process under the retry policy.
+        """Run task *index* in-process under the retry policy.
 
         Returns ``(value, attempts)``.  Chaos injections (when a plan is
-        attached and the task has a map index) fire before each attempt,
-        exactly as they do inside pool workers.
+        attached) fire before each attempt, exactly as they do inside
+        pool workers.
         """
         attempt = 1
         while True:
             try:
-                if self.chaos is not None and chaos_index is not None:
-                    self.chaos.before_task(chaos_index, in_worker=False)
-                return self._call_task(fn, args, phase, **attrs), attempt
+                if self.chaos is not None:
+                    self.chaos.before_task(index, in_worker=False)
+                value, _ = _timed_call(
+                    self._metrics, self._tracer, phase, fn, args, **attrs
+                )
+                return value, attempt
             except BaseException as exc:
-                if not self._should_retry(exc, attempt):
-                    raise
-                counters.retries += 1
-                self._retry_pause(attempt)
+                self._retry_or_raise(exc, attempt, counters)
                 attempt += 1
-
-    def _submit_map_task(
-        self,
-        pool: ProcessPoolExecutor,
-        fn: Callable[[Any], Any],
-        item: Any,
-        phase: str,
-        index: int,
-    ):
-        """Submit one map task, routing through the chaos/obs wrappers."""
-        perf = self._perf is not None
-        instrument = (
-            self._metrics is not None or self._tracer is not None or perf
-        )
-        if self.chaos is None and not instrument:
-            return pool.submit(fn, item)
-        if instrument:
-            if self._tracer is not None:
-                with self._tracer.span(
-                    "engine submit", category="engine", phase=phase,
-                    index=index,
-                ):
-                    ctx = self._tracer.context().as_dict()
-            else:
-                ctx = None
-            if self.chaos is None:
-                return pool.submit(_obs_call, ctx, phase, fn, (item,), perf)
-            return pool.submit(
-                _worker_call, self.chaos, index, True, ctx, phase, fn,
-                (item,), perf,
-            )
-        return pool.submit(
-            _worker_call, self.chaos, index, False, None, phase, fn, (item,),
-        )
-
-    def _respawn_or_give_up(
-        self, respawns: int, phase: str, remaining: int,
-        counters: _RunCounters,
-    ) -> None:
-        """Account one dead pool; raise once the respawn budget is spent."""
-        counters.respawns += 1
-        if respawns > self.max_respawns:
-            raise EngineError(
-                f"worker pool for {phase!r} died {respawns} times "
-                f"(max_respawns={self.max_respawns}); giving up with "
-                f"{remaining} tasks incomplete"
-            )
-
-    def _submit_instrumented(
-        self, pool: ProcessPoolExecutor, fn: Callable[..., Any],
-        args: Tuple[Any, ...], phase: str, **attrs: Any,
-    ):
-        """Submit a task wrapped in :func:`_obs_call`.
-
-        The submit span is recorded immediately (its duration is the
-        submission cost); the worker's spans parent under its id and are
-        re-based onto this timeline when the result is unwrapped.
-        """
-        if self._tracer is not None:
-            with self._tracer.span(
-                "engine submit", category="engine", phase=phase, **attrs
-            ):
-                ctx = self._tracer.context().as_dict()
-        else:
-            ctx = None
-        return pool.submit(
-            _obs_call, ctx, phase, fn, args, self._perf is not None
-        )
 
     def _unwrap_instrumented(
         self, result: Tuple[Any, ...],
@@ -559,11 +529,12 @@ class EvaluationEngine:
         return value
 
     def _time_serialization(
-        self, batch: Optional["BatchPerf"], fn: Callable[..., Any], item: Any,
+        self, batch: Optional["BatchPerf"], fn: Callable[..., Any],
+        args: Tuple[Any, ...],
     ) -> None:
         """Measure what shipping this task costs in pickle time/bytes.
 
-        The pool pickles ``(fn, item)`` itself on submit; re-pickling
+        The pool pickles ``(fn, args)`` itself on submit; re-pickling
         here is the measured proxy for that cost (only when a perf
         recorder is attached), credited to the serialization bucket.
         """
@@ -571,14 +542,14 @@ class EvaluationEngine:
             return
         started = monotonic()
         try:
-            payload = pickle.dumps((fn, item))
+            payload = pickle.dumps((fn, args))
         except Exception:
             return
         batch.add_serialization(monotonic() - started, len(payload))
 
     def _record_run_metrics(
         self, phase: str, total: int, executed: int, restored: int,
-        delta: CacheStats, retries: int = 0, respawns: int = 0,
+        delta: CacheStats, counters: _RunCounters,
     ) -> None:
         if self._metrics is None:
             return
@@ -586,11 +557,11 @@ class EvaluationEngine:
         m.counter(
             "engine_task_retries",
             help="Task attempts re-run after retryable failures.",
-        ).inc(retries)
+        ).inc(counters.retries)
         m.counter(
             "engine_worker_respawns",
             help="Worker pools respawned after a worker death.",
-        ).inc(respawns)
+        ).inc(counters.respawns)
         m.counter(
             "engine_tasks", help="Tasks submitted to the engine.", phase=phase,
         ).inc(total)
@@ -663,28 +634,72 @@ class EvaluationEngine:
         ResumeError
             When the journal does not match this batch.
         """
-        if self._tracer is None:
-            return self._map(fn, items, keys, phase, journal, on_result)
-        with self._tracer.span(f"map {phase}", category="engine"):
-            return self._map(fn, items, keys, phase, journal, on_result)
+        with self._span(f"map {phase}"):
+            items = list(items)
+            if keys is None:
+                keys = [None] * len(items)
+            else:
+                keys = list(keys)
+                if len(keys) != len(items):
+                    raise EngineError(
+                        f"got {len(keys)} cache keys for {len(items)} items"
+                    )
+            tasks = [
+                _Task(fn, (item,), key) for item, key in zip(items, keys)
+            ]
+            return self._execute(tasks, phase, journal=journal,
+                                 on_result=on_result)
 
-    def _map(
+    def run_graph(self, graph: TaskGraph, phase: str = "graph") -> GraphResult:
+        """Execute a :class:`~repro.engine.tasks.TaskGraph`.
+
+        Tasks run as soon as their dependencies are available —
+        independent tasks in parallel under a process pool.  Keyed tasks
+        are memoized (all looked up before any task runs); results are
+        returned by name.
+
+        Raises
+        ------
+        EngineError
+            On graph defects (via
+            :meth:`~repro.engine.tasks.TaskGraph.topological_order`) or
+            unpicklable task functions under a process pool.
+        """
+        with self._span(f"run_graph {phase}"):
+            order = graph.topological_order()
+            position = {name: index for index, name in enumerate(order)}
+            tasks = []
+            for name in order:
+                task = graph.task(name)
+                deps = tuple(position[dep] for dep in task.deps)
+                tasks.append(_Task(task.fn, task.args, task.key, deps))
+            batch = self._execute(tasks, phase, names=order)
+        return GraphResult(
+            values=dict(zip(order, batch.outputs)),
+            cache_stats=batch.cache_stats,
+            executed=batch.executed,
+            workers=batch.workers,
+            elapsed=batch.elapsed,
+            retries=batch.retries,
+            respawns=batch.respawns,
+        )
+
+    # -- the dispatch core ---------------------------------------------
+    def _execute(
         self,
-        fn: Callable[[Any], Any],
-        items: Iterable[Any],
-        keys: Optional[Sequence[Optional[str]]],
+        tasks: Sequence[_Task],
         phase: str,
-        journal: Optional[JournalLike],
-        on_result: Optional[Callable[[int, Any], None]],
+        names: Optional[Sequence[str]] = None,
+        journal: Optional[JournalLike] = None,
+        on_result: Optional[Callable[[int, Any], None]] = None,
     ) -> BatchResult:
-        items = list(items)
-        total = len(items)
-        if keys is not None:
-            keys = list(keys)
-            if len(keys) != total:
-                raise EngineError(
-                    f"got {len(keys)} cache keys for {total} items"
-                )
+        """Run an indexed task list; the core behind both entry points.
+
+        Tasks must be in dependency order (every dep index below its
+        dependent's).  *names* labels spans and heartbeats with task
+        names instead of indices.
+        """
+        total = len(tasks)
         before = self.cache.stats
         started = monotonic()
         bperf = (
@@ -697,56 +712,56 @@ class EvaluationEngine:
         restored: Dict[int, Any] = {}
         if journal is not None:
             path = journal.path if isinstance(journal, Journal) else Path(journal)
-            restored = self._restore_from_journal(path, phase, total, keys)
+            restored = self._restore_from_journal(path, phase, tasks)
             if owns_journal:
                 journal = Journal(path)
             if journal.next_seq == 0:
                 journal.append("batch_start", phase=phase, total=total)
 
+        counters = _RunCounters()
         try:
             outputs: List[Any] = [None] * total
-            done = 0
             pending: List[int] = []
-            for index, item in enumerate(items):
+            for index, task in enumerate(tasks):
                 if index in restored:
                     outputs[index] = restored[index]
-                    done += 1
                     continue
-                key = keys[index] if keys is not None else None
-                if key is not None:
+                if task.key is not None:
+                    lookup_started = monotonic()
+                    hit, value = self.cache.lookup(task.key)
                     if bperf is not None:
-                        lookup_started = monotonic()
-                        hit, value = self.cache.lookup(key)
                         bperf.add_cache(monotonic() - lookup_started)
-                    else:
-                        hit, value = self.cache.lookup(key)
                     if hit:
                         outputs[index] = value
-                        done += 1
                         continue
                 pending.append(index)
-
+            done = total - len(pending)
             self._beat(
                 phase, done, total,
                 f"{len(restored)} restored, {done - len(restored)} cached",
             )
 
-            counters = _RunCounters()
+            def args_of(index: int) -> Tuple[Any, ...]:
+                task = tasks[index]
+                return task.args + tuple(outputs[dep] for dep in task.deps)
 
-            def complete(index: int, value: Any, attempts: int = 1) -> None:
+            def attrs_of(index: int) -> Dict[str, Any]:
+                if names is None:
+                    return {"index": index}
+                return {"task": names[index]}
+
+            def complete(index: int, value: Any, attempts: int) -> None:
                 nonlocal done
                 outputs[index] = value
                 done += 1
-                key = keys[index] if keys is not None else None
+                key = tasks[index].key
                 if key is not None:
+                    put_started = monotonic()
+                    self.cache.put(key, value)
                     if bperf is not None:
-                        put_started = monotonic()
-                        self.cache.put(key, value)
                         bperf.add_cache(monotonic() - put_started)
-                    else:
-                        self.cache.put(key, value)
                 if journal is not None:
-                    append_started = monotonic() if bperf is not None else 0.0
+                    append_started = monotonic()
                     journal.append(
                         "task_result",
                         index=index,
@@ -758,9 +773,9 @@ class EvaluationEngine:
                         bperf.add_serialization(monotonic() - append_started)
                 if on_result is not None:
                     on_result(index, value)
-                self._beat(phase, done, total)
+                self._beat(phase, done, total,
+                           "" if names is None else names[index])
 
-            executed = len(pending)
             if self.workers == 1 or len(pending) <= 1:
                 for index in pending:
                     self._check()
@@ -769,8 +784,8 @@ class EvaluationEngine:
                         wall_start = walltime()
                         exec_started = monotonic()
                     value, attempts = self._call_serial(
-                        fn, (items[index],), phase, index, counters,
-                        index=index,
+                        index, tasks[index].fn, args_of(index), phase,
+                        counters, attrs_of(index),
                     )
                     if bperf is not None:
                         bperf.task_executed(
@@ -779,14 +794,14 @@ class EvaluationEngine:
                         )
                     complete(index, value, attempts)
             else:
-                self._map_parallel(fn, items, pending, complete, phase,
-                                   counters, bperf)
+                self._run_pool(tasks, pending, args_of, attrs_of, complete,
+                               phase, counters, bperf)
 
             if journal is not None and total and done == total:
                 # Idempotent end marker (skipped when resuming past one).
                 records = read_journal(journal.path, missing_ok=True)
                 if not any(r.get("kind") == "batch_end" for r in records):
-                    journal.append("batch_end", executed=executed)
+                    journal.append("batch_end", executed=len(pending))
         finally:
             if owns_journal and journal is not None:
                 journal.close()
@@ -794,13 +809,12 @@ class EvaluationEngine:
         if bperf is not None:
             bperf.finish()
         delta = _stats_delta(before, self.cache.stats)
-        self._record_run_metrics(phase, total, executed, len(restored), delta,
-                                 retries=counters.retries,
-                                 respawns=counters.respawns)
+        self._record_run_metrics(phase, total, len(pending), len(restored),
+                                 delta, counters)
         return BatchResult(
             outputs=tuple(outputs),
             cache_stats=delta,
-            executed=executed,
+            executed=len(pending),
             restored=len(restored),
             workers=self.workers,
             elapsed=monotonic() - started,
@@ -808,70 +822,106 @@ class EvaluationEngine:
             respawns=counters.respawns,
         )
 
-    def _map_parallel(
+    def _run_pool(
         self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
+        tasks: Sequence[_Task],
         pending: Sequence[int],
-        complete: Callable[..., None],
+        args_of: Callable[[int], Tuple[Any, ...]],
+        attrs_of: Callable[[int], Dict[str, Any]],
+        complete: Callable[[int, Any, int], None],
         phase: str,
         counters: _RunCounters,
-        bperf: Optional["BatchPerf"] = None,
+        bperf: Optional["BatchPerf"],
     ) -> None:
-        """Supervised process-pool backend for :meth:`map`.
+        """Supervised process-pool backend.
 
         Each *pool pass* drives one ``ProcessPoolExecutor`` until every
         remaining task completes or the pool breaks (a worker died).  A
         broken pool costs one respawn from the ``max_respawns`` budget;
         the next pass re-dispatches exactly the tasks that had not
-        completed, so supervised output is bit-identical to serial.
+        completed (their completed dependencies stay completed), so
+        supervised output is bit-identical to serial.
         """
-        self._require_picklable(fn)
+        fns = {id(tasks[index].fn): tasks[index].fn for index in pending}
+        for fn in fns.values():
+            self._require_picklable(fn)
+        dependents: Dict[int, List[int]] = {}
+        for index in pending:
+            for dep in dict.fromkeys(tasks[index].deps):
+                dependents.setdefault(dep, []).append(index)
         remaining: Set[int] = set(pending)
         attempts: Dict[int, int] = {}
-        respawns = 0
         while remaining:
             try:
-                self._map_pool_pass(fn, items, remaining, attempts, complete,
-                                    phase, counters, bperf)
+                self._pool_pass(tasks, remaining, dependents, attempts,
+                                args_of, attrs_of, complete, phase, counters,
+                                bperf)
             except BrokenExecutor:
-                respawns += 1
-                self._respawn_or_give_up(respawns, phase, len(remaining),
-                                         counters)
+                counters.respawns += 1
+                if counters.respawns > self.max_respawns:
+                    raise EngineError(
+                        f"worker pool for {phase!r} died "
+                        f"{counters.respawns} times "
+                        f"(max_respawns={self.max_respawns}); giving up "
+                        f"with {len(remaining)} tasks incomplete"
+                    )
 
-    def _map_pool_pass(
+    def _pool_pass(
         self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
+        tasks: Sequence[_Task],
         remaining: Set[int],
+        dependents: Dict[int, List[int]],
         attempts: Dict[int, int],
-        complete: Callable[..., None],
+        args_of: Callable[[int], Tuple[Any, ...]],
+        attrs_of: Callable[[int], Dict[str, Any]],
+        complete: Callable[[int, Any, int], None],
         phase: str,
         counters: _RunCounters,
-        bperf: Optional["BatchPerf"] = None,
+        bperf: Optional["BatchPerf"],
     ) -> None:
-        instrument = (
-            self._metrics is not None
-            or self._tracer is not None
-            or self._perf is not None
-        )
-        max_workers = min(self.workers, len(remaining))
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        instrument = self._instrumented
+        with ProcessPoolExecutor(
+            max_workers=min(self.workers, len(remaining))
+        ) as pool:
             futures: Dict[Any, int] = {}
+
+            def submit(index: int) -> None:
+                # Plain tasks go straight to the pool; chaos plans and
+                # instrumentation route through _worker_call.  The
+                # submit span's duration is the submission cost; worker
+                # spans parent under it and are re-based onto this
+                # timeline when the result is unwrapped.
+                self._check()
+                fn, args = tasks[index].fn, args_of(index)
+                self._time_serialization(bperf, fn, args)
+                if self.chaos is None and not instrument:
+                    futures[pool.submit(fn, *args)] = index
+                    return
+                ctx = None
+                if self._tracer is not None:
+                    with self._tracer.span(
+                        "engine submit", category="engine", phase=phase,
+                        **attrs_of(index),
+                    ):
+                        ctx = self._tracer.context().as_dict()
+                future = pool.submit(
+                    _worker_call, self.chaos, index, instrument, ctx, phase,
+                    fn, args, self._perf is not None,
+                )
+                futures[future] = index
+
             try:
+                # On a respawn pass this re-collects exactly the
+                # incomplete tasks whose dependencies have completed.
                 for index in sorted(remaining):
-                    self._check()
-                    self._time_serialization(bperf, fn, items[index])
-                    future = self._submit_map_task(pool, fn, items[index],
-                                                   phase, index)
-                    futures[future] = index
-                outstanding = set(futures)
-                while outstanding:
+                    if remaining.isdisjoint(tasks[index].deps):
+                        submit(index)
+                while futures:
                     self._check()
                     if bperf is not None:
-                        bperf.sample_queue_depth(len(outstanding))
-                    finished, outstanding = wait(
-                        outstanding, return_when=FIRST_COMPLETED
+                        bperf.sample_queue_depth(len(futures))
+                    finished, _ = wait(
+                        set(futures), return_when=FIRST_COMPLETED
                     )
                     for future in finished:
                         index = futures.pop(future)
@@ -881,21 +931,17 @@ class EvaluationEngine:
                             raise  # dead worker: the supervisor respawns
                         except BaseException as exc:
                             attempt = attempts.get(index, 1)
-                            if not self._should_retry(exc, attempt):
-                                raise
+                            self._retry_or_raise(exc, attempt, counters)
                             attempts[index] = attempt + 1
-                            counters.retries += 1
-                            self._retry_pause(attempt)
-                            retry_future = self._submit_map_task(
-                                pool, fn, items[index], phase, index
-                            )
-                            futures[retry_future] = index
-                            outstanding.add(retry_future)
+                            submit(index)
                             continue
                         if instrument:
                             value = self._unwrap_instrumented(value, bperf)
                         complete(index, value, attempts.get(index, 1))
                         remaining.discard(index)
+                        for dependent in dependents.get(index, ()):
+                            if remaining.isdisjoint(tasks[dependent].deps):
+                                submit(dependent)
             except BaseException:
                 for future in futures:
                     future.cancel()
@@ -903,11 +949,9 @@ class EvaluationEngine:
 
     @staticmethod
     def _restore_from_journal(
-        path: Path,
-        phase: str,
-        total: int,
-        keys: Optional[Sequence[Optional[str]]],
+        path: Path, phase: str, tasks: Sequence[_Task]
     ) -> Dict[int, Any]:
+        total = len(tasks)
         records = read_journal(path, missing_ok=True)
         if not records:
             return {}
@@ -926,236 +970,23 @@ class EvaluationEngine:
         for record in records:
             if record.get("kind") != "task_result":
                 continue
-            index = int(record["index"])
-            if not 0 <= index < total:
+            index = record.get("index")
+            # Only a JSON integer in range names a task (bool is an int
+            # subclass, and 0.7 must not silently become task 0).
+            if type(index) is not int or not 0 <= index < total:
                 raise ResumeError(
-                    f"journal {path} holds task index {index} outside "
-                    f"0..{total - 1}"
+                    f"journal {path} holds a task_result with index "
+                    f"{index!r}, not an integer in 0..{total - 1}"
                 )
-            if keys is not None and record.get("key") != keys[index]:
+            if "value" not in record:
+                raise ResumeError(
+                    f"journal {path} task {index} record has no value"
+                )
+            key = tasks[index].key
+            if key is not None and record.get("key") != key:
                 raise ResumeError(
                     f"journal {path} task {index} was computed under a "
                     "different cache key; the batch spec changed"
                 )
             restored[index] = record["value"]
         return restored
-
-    # ------------------------------------------------------------------
-    def run_graph(self, graph: TaskGraph, phase: str = "graph") -> GraphResult:
-        """Execute a :class:`~repro.engine.tasks.TaskGraph`.
-
-        Tasks run as soon as their dependencies are available —
-        independent tasks in parallel under a process pool.  Keyed tasks
-        are memoized; results are returned by name.
-
-        Raises
-        ------
-        EngineError
-            On graph defects (via
-            :meth:`~repro.engine.tasks.TaskGraph.topological_order`) or
-            unpicklable task functions under a process pool.
-        """
-        if self._tracer is None:
-            return self._run_graph(graph, phase)
-        with self._tracer.span(f"run_graph {phase}", category="engine"):
-            return self._run_graph(graph, phase)
-
-    def _run_graph(self, graph: TaskGraph, phase: str) -> GraphResult:
-        order = graph.topological_order()
-        before = self.cache.stats
-        started = monotonic()
-        bperf = (
-            self._perf.start_batch(phase, self.workers, len(order))
-            if self._perf is not None
-            else None
-        )
-        values: Dict[str, Any] = {}
-        counters = _RunCounters()
-
-        def resolve(name: str) -> Tuple[bool, Any]:
-            task = graph.task(name)
-            if task.key is not None:
-                if bperf is not None:
-                    lookup_started = monotonic()
-                    outcome = self.cache.lookup(task.key)
-                    bperf.add_cache(monotonic() - lookup_started)
-                    return outcome
-                return self.cache.lookup(task.key)
-            return False, None
-
-        def call_args(name: str) -> Tuple[Any, ...]:
-            task = graph.task(name)
-            return task.args + tuple(values[dep] for dep in task.deps)
-
-        def finish(name: str, value: Any) -> None:
-            task = graph.task(name)
-            values[name] = value
-            if task.key is not None:
-                if bperf is not None:
-                    put_started = monotonic()
-                    self.cache.put(task.key, value)
-                    bperf.add_cache(monotonic() - put_started)
-                else:
-                    self.cache.put(task.key, value)
-            self._beat(phase, len(values), len(order), name)
-
-        if self.workers == 1:
-            for name in order:
-                self._check()
-                hit, value = resolve(name)
-                if hit:
-                    values[name] = value
-                    self._beat(phase, len(values), len(order), name)
-                    continue
-                counters.executed += 1
-                if bperf is not None:
-                    self._perf.profiler.tick_task(leaf=f"task:{phase}")
-                    wall_start = walltime()
-                    exec_started = monotonic()
-                value, _ = self._call_serial(
-                    graph.task(name).fn, call_args(name), phase, None,
-                    counters, task=name,
-                )
-                if bperf is not None:
-                    bperf.task_executed(
-                        os.getpid(), wall_start, monotonic() - exec_started
-                    )
-                finish(name, value)
-        else:
-            self._run_graph_parallel(graph, order, resolve, call_args,
-                                     finish, phase, counters, bperf)
-
-        if bperf is not None:
-            bperf.finish()
-        delta = _stats_delta(before, self.cache.stats)
-        self._record_run_metrics(phase, len(order), counters.executed, 0,
-                                 delta, retries=counters.retries,
-                                 respawns=counters.respawns)
-        return GraphResult(
-            values=values,
-            cache_stats=delta,
-            executed=counters.executed,
-            workers=self.workers,
-            elapsed=monotonic() - started,
-            retries=counters.retries,
-            respawns=counters.respawns,
-        )
-
-    def _run_graph_parallel(self, graph, order, resolve, call_args, finish,
-                            phase, counters: _RunCounters,
-                            bperf: Optional["BatchPerf"] = None):
-        """Supervised process-pool backend for :meth:`run_graph`.
-
-        Like :meth:`_map_parallel`, runs one pool pass at a time; a pass
-        that loses a worker forfeits its in-flight futures, and the next
-        pass re-dispatches every task that is not yet settled (their
-        dependencies stay settled, so no completed work is repeated).
-        """
-        waiting = {name: set(graph.task(name).deps) for name in order}
-        dependents: Dict[str, List[str]] = {name: [] for name in order}
-        for name in order:
-            for dep in graph.task(name).deps:
-                dependents[dep].append(name)
-        done: set = set()
-        attempts: Dict[str, int] = {}
-        respawns = 0
-        while len(done) < len(order):
-            try:
-                self._graph_pool_pass(graph, order, waiting, dependents,
-                                      done, attempts, resolve, call_args,
-                                      finish, phase, counters, bperf)
-            except BrokenExecutor:
-                respawns += 1
-                self._respawn_or_give_up(
-                    respawns, phase, len(order) - len(done), counters
-                )
-        return counters.executed
-
-    def _graph_pool_pass(self, graph, order, waiting, dependents, done,
-                         attempts, resolve, call_args, finish, phase,
-                         counters: _RunCounters,
-                         bperf: Optional["BatchPerf"] = None):
-        instrument = (
-            self._metrics is not None
-            or self._tracer is not None
-            or self._perf is not None
-        )
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            futures: Dict[Any, str] = {}
-
-            def settle(name: str, value: Any) -> List[str]:
-                finish(name, value)
-                done.add(name)
-                freed = []
-                for dependent in dependents[name]:
-                    waiting[dependent].discard(name)
-                    if not waiting[dependent] and dependent not in done:
-                        freed.append(dependent)
-                return freed
-
-            def submit(name: str) -> None:
-                task = graph.task(name)
-                self._require_picklable(task.fn)
-                self._time_serialization(bperf, task.fn, call_args(name))
-                if instrument:
-                    future = self._submit_instrumented(
-                        pool, task.fn, call_args(name), phase, task=name
-                    )
-                else:
-                    future = pool.submit(task.fn, *call_args(name))
-                futures[future] = name
-
-            def dispatch(name: str) -> List[str]:
-                # Cache hits (and their newly freed dependents) settle
-                # immediately; misses go to the pool.
-                self._check()
-                hit, value = resolve(name)
-                if hit:
-                    return settle(name, value)
-                submit(name)
-                return []
-
-            try:
-                # On a respawn pass this re-collects exactly the tasks
-                # whose dependencies are settled but which are not.
-                ready = [name for name in order
-                         if name not in done and not waiting[name]]
-                while ready or futures:
-                    freed: List[str] = []
-                    for name in ready:
-                        freed.extend(dispatch(name))
-                    ready = freed
-                    if not ready and futures:
-                        self._check()
-                        if bperf is not None:
-                            bperf.sample_queue_depth(len(futures))
-                        finished, _ = wait(
-                            set(futures), return_when=FIRST_COMPLETED
-                        )
-                        for future in finished:
-                            name = futures.pop(future)
-                            try:
-                                value = future.result()
-                            except BrokenExecutor:
-                                raise  # dead worker: supervisor respawns
-                            except BaseException as exc:
-                                attempt = attempts.get(name, 1)
-                                if not self._should_retry(exc, attempt):
-                                    raise
-                                attempts[name] = attempt + 1
-                                counters.retries += 1
-                                self._retry_pause(attempt)
-                                submit(name)
-                                continue
-                            counters.executed += 1
-                            if instrument:
-                                value = self._unwrap_instrumented(value,
-                                                                  bperf)
-                            ready.extend(settle(name, value))
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
-        if len(done) != len(order):  # pragma: no cover - defensive
-            missing = [name for name in order if name not in done]
-            raise EngineError(f"graph execution stalled; unfinished: {missing}")

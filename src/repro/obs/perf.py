@@ -541,7 +541,7 @@ class PerfRecorder:
         self.batches.append(report)
 
     def merge_worker(self, record: Optional[Mapping[str, object]]) -> None:
-        """Fold one engine-worker perf record (from ``_obs_call``) in."""
+        """Fold one engine-worker perf record (from ``_worker_call``) in."""
         if not record:
             return
         kernel = record.get("kernel")

@@ -6,6 +6,7 @@ every parallel/cached/resumed path must reproduce it bit for bit.
 
 import math
 import os
+import re
 
 import pytest
 
@@ -47,6 +48,10 @@ def _die_once(marker, x):
     os._exit(113)
 
 
+def _add(x, y):
+    return x + y
+
+
 def _boom_on_42(x):
     if x == 42:
         raise ValueError("boom 42")
@@ -65,6 +70,24 @@ def _blocking(spec):
 
 def _keys(items):
     return [canonical_key("cube", x=float(x)) for x in items]
+
+
+def _run(engine, entry, fn, items):
+    """Evaluate *fn* over *items* through ``map`` or an edgeless graph.
+
+    Returns ``(outputs in item order, result object)``.
+    """
+    if entry == "map":
+        result = engine.map(fn, items)
+        return result.outputs, result
+    graph = TaskGraph()
+    for index, item in enumerate(items):
+        graph.add(f"t{index}", fn, args=(item,))
+    result = engine.run_graph(graph)
+    return tuple(result[f"t{index}"] for index in range(len(items))), result
+
+
+ENTRIES = pytest.mark.parametrize("entry", ["map", "run_graph"])
 
 
 class TestSerialMap:
@@ -106,10 +129,12 @@ class TestParallelMap:
         with pytest.raises(EngineError, match="worker processes"):
             EvaluationEngine(workers=2).map(lambda x: x, [1, 2, 3])
 
-    def test_single_pending_task_stays_in_process(self):
+    @ENTRIES
+    def test_single_pending_task_stays_in_process(self, entry):
         # One pending task never pays for a pool — closures still work.
         engine = EvaluationEngine(workers=4)
-        assert engine.map(lambda x: -x, [5.0]).outputs == (-5.0,)
+        outputs, _ = _run(engine, entry, lambda x: -x, [5.0])
+        assert outputs == (-5.0,)
 
 
 class TestCaching:
@@ -210,6 +235,29 @@ class TestJournalResume:
         with pytest.raises(ResumeError, match="not .* of"):
             EvaluationEngine().map(_cube, [1.0, 2.0, 3.0], journal=path)
 
+    @pytest.mark.parametrize("record", [
+        {"key": None, "value": 1.0},
+        {"index": "abc", "key": None, "value": 1.0},
+        {"index": [0], "key": None, "value": 1.0},
+        {"index": 0.7, "key": None, "value": 1.0},
+        {"index": True, "key": None, "value": 1.0},
+        {"index": 2, "key": None, "value": 1.0},
+        {"index": 0, "key": None},
+    ], ids=[
+        "missing-index", "string-index", "list-index", "float-index",
+        "bool-index", "out-of-range-index", "missing-value",
+    ])
+    def test_malformed_task_record_rejected(self, tmp_path, record):
+        from repro.runtime import Journal
+
+        path = tmp_path / "batch.jsonl"
+        with Journal(path) as journal:
+            journal.append("batch_start", phase="batch", total=2)
+            journal.append("task_result", **record)
+        with pytest.raises(ResumeError, match=re.escape(str(path))) as exc:
+            EvaluationEngine().map(_cube, [1.0, 2.0], journal=path)
+        assert "\n" not in str(exc.value)
+
     def test_changed_keys_rejected_on_resume(self, tmp_path):
         path = tmp_path / "batch.jsonl"
         items = [1.0, 2.0]
@@ -267,20 +315,53 @@ class TestSupervision:
         assert survived.values == reference.values
         assert survived.respawns == 1
 
+    def test_dependency_chain_survives_a_kill_and_a_retry(self, tmp_path):
+        def build():
+            graph = TaskGraph()
+            graph.add("a", _cube, args=(2.0,))
+            graph.add("b", _add, args=(1.0,), deps=("a",))
+            graph.add("c", _add, args=(10.0,), deps=("b",))
+            graph.add("d", _cube, args=(3.0,))
+            return graph
+
+        graph = build()
+        # Chaos fires by position in the topological order.
+        order = graph.topological_order()
+        assert order == ("a", "d", "b", "c")
+        reference = EvaluationEngine().run_graph(graph)
+        plan = ChaosPlan(
+            state_dir=str(tmp_path / "state"),
+            kill_tasks=(order.index("b"),),
+            transient_tasks=(order.index("c"),),
+        )
+        survived = EvaluationEngine(
+            workers=2, chaos=plan, retry=TaskRetryPolicy()
+        ).run_graph(build())
+        assert survived.values == reference.values
+        assert survived.values == {"a": 8.0, "b": 9.0, "c": 19.0, "d": 27.0}
+        assert survived.respawns == 1
+        assert survived.retries == 1
+        assert plan.fired() == 2
+
 
 class TestTaskRetry:
-    def test_transient_faults_retry_to_identical_outputs(self, tmp_path):
+    @ENTRIES
+    def test_transient_faults_retry_to_identical_outputs(self, tmp_path,
+                                                          entry):
         items = [1.0, 2.0, 3.0, 4.0, 5.0]
-        reference = EvaluationEngine().map(_cube, items)
+        reference, _ = _run(EvaluationEngine(), entry, _cube, items)
         for workers in (1, 2):
             plan = plan_transient_faults(
                 len(items), seed=0, count=2,
                 state_dir=str(tmp_path / f"state-{workers}"),
             )
-            result = EvaluationEngine(
-                workers=workers, chaos=plan, retry=TaskRetryPolicy()
-            ).map(_cube, items)
-            assert result.outputs == reference.outputs
+            outputs, result = _run(
+                EvaluationEngine(
+                    workers=workers, chaos=plan, retry=TaskRetryPolicy()
+                ),
+                entry, _cube, items,
+            )
+            assert outputs == reference
             assert result.retries == 2
             assert plan.fired() == 2
 
