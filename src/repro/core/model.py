@@ -298,7 +298,9 @@ class HierarchicalModel:
         services) is available.  Shared services are therefore counted
         once — the dependency treatment of Section 4.3.
         """
-        function_names = list(functions)
+        # Sorted here and in the product below: frozenset order varies
+        # with PYTHONHASHSEED, and float products and sums depend on order.
+        function_names = sorted(functions)
         for name in function_names:
             if name not in self._functions:
                 raise ValidationError(f"unknown function {name!r}")
@@ -324,7 +326,7 @@ class HierarchicalModel:
         total = 0.0
         for service_set, prob in union_dist.items():
             product = prob
-            for service in service_set:
+            for service in sorted(service_set):
                 product *= services[service]
             total += product
         return total

@@ -33,6 +33,7 @@ so releasing a resource restores whatever latent state it reached.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
@@ -263,40 +264,47 @@ def simulate_user_availability_over_time(
     horizon = check_positive(horizon, "horizon")
     check_rate(default_repair_rate, "default_repair_rate")
     rates = _resource_rates(model, default_repair_rate)
-    names = list(rates)
     timeline = _validated_timeline(faults, model)
 
+    # The model is compiled once: resources and services are indices in
+    # model order, their states int bitmasks, and every derived quantity
+    # is memoized on the bits it depends on (see docs/PERFORMANCE.md).
+    index = {name: i for i, name in enumerate(rates)}
+    processes = list(rates.values())
+    all_up = (1 << len(processes)) - 1
+
     # Initial states drawn from each resource's steady state, so the time
-    # average starts unbiased rather than warming up from all-up.
-    up: Dict[str, bool] = {}
-    next_event: Dict[str, float] = {}
-    for name in names:
-        process = rates[name]
+    # average starts unbiased rather than warming up from all-up.  The
+    # calendar is a heap of (next transition time, resource index): equal
+    # times pop the lowest index.  Never-failing resources have no entry.
+    up = [True] * len(processes)
+    mean_time = [None] * len(processes)  # (up, down) sojourn means
+    calendar = []
+    for i, process in enumerate(processes):
         if process is None:
-            up[name] = True
-            next_event[name] = float("inf")
             continue
-        up[name] = bool(rng.random() < process.availability)
-        rate = process.failure_rate if up[name] else process.repair_rate
-        next_event[name] = rng.exponential(1.0 / rate)
+        mean_time[i] = (1.0 / process.failure_rate, 1.0 / process.repair_rate)
+        up[i] = bool(rng.random() < process.availability)
+        calendar.append((rng.exponential(mean_time[i][not up[i]]), i))
+    heapq.heapify(calendar)
 
     # Injection overlay: forced-down counts per resource and per-service
     # degradation factors.  The *effective* resource state (natural state
     # minus forced windows) is what services are evaluated against.
-    forced: Dict[str, int] = {}
+    forced = [0] * len(processes)
     factors: Dict[str, float] = {}
-    effective: Dict[str, bool] = dict(up)
+    effective = sum(1 << i for i, state in enumerate(up) if state)
 
     # Precompute, per scenario, the distribution of the union of services
     # a session touches (independent of availabilities).  With boolean
     # service states the session succeeds iff its union set is a subset
-    # of the currently-up services, so each evaluation reduces to subset
-    # tests against a precomputed weighted list.
+    # of the currently-up services: a required-service mask test.
+    service_bit = {service: 1 << k for k, service in enumerate(model.services)}
     weighted_sets = []
     common = frozenset(model.common_services)
     for scenario in user_class.scenarios:
         union_dist: Dict[frozenset, float] = {common: 1.0}
-        for function in scenario.functions:
+        for function in sorted(scenario.functions):
             usage = model.function_service_usage(function)
             combined: Dict[frozenset, float] = {}
             for current, p_current in union_dist.items():
@@ -305,79 +313,31 @@ def simulate_user_availability_over_time(
                     combined[key] = combined.get(key, 0.0) + p_current * p_touched
             union_dist = combined
         for service_set, probability in union_dist.items():
+            required = sum(service_bit[service] for service in service_set)
             weighted_sets.append(
-                (scenario.probability * probability, service_set)
+                (scenario.probability * probability, service_set, required)
             )
+    # (weight x degradation factor, required mask); x * 1.0 == x exactly.
+    terms = [(weight, required) for weight, _, required in weighted_sets]
 
-    # Degradation factor of each weighted set; all 1.0 until a fault
-    # event sets a service factor, so the common no-degradation case
-    # stays a pure subset test.
-    set_factors = [1.0] * len(weighted_sets)
-    degraded = False
-
-    def refresh_set_factors() -> None:
-        nonlocal degraded
-        degraded = any(f != 1.0 for f in factors.values())
-        for k, (_, service_set) in enumerate(weighted_sets):
-            product = 1.0
-            for service in service_set:
-                product *= factors.get(service, 1.0)
-            set_factors[k] = product
-
-    # Only services depending on a flipped resource need re-evaluation.
-    dependents: Dict[str, list] = {name: [] for name in names}
+    # Each service's structure function is memoized on its own
+    # components' effective bits, and only services depending on a
+    # flipped resource are re-evaluated.  The conditional availability
+    # is memoized per service-up mask until a factor changes.
     from ..rbd import structure_function
 
-    service_structures = {
-        service: model.service_structure(service) for service in model.services
-    }
-    for service, structure in service_structures.items():
-        for resource_name in set(structure.component_names()):
-            dependents.setdefault(resource_name, []).append(service)
-
-    def service_state(service: str) -> bool:
-        return structure_function(service_structures[service], effective)
-
-    up_services = {s for s in model.services if service_state(s)}
-
-    def refresh_services(flipped_resource: str) -> None:
-        for service in dependents.get(flipped_resource, ()):
-            if service_state(service):
-                up_services.add(service)
-            else:
-                up_services.discard(service)
-
-    def conditional_user_availability() -> float:
-        if degraded:
-            return sum(
-                weight * set_factors[k]
-                for k, (weight, service_set) in enumerate(weighted_sets)
-                if service_set <= up_services
-            )
-        return sum(
-            weight
-            for weight, service_set in weighted_sets
-            if service_set <= up_services
-        )
-
-    def apply_fault(event: FaultEvent) -> None:
-        touched = set(event.force_down) | set(event.release)
-        for name in event.force_down:
-            forced[name] = forced.get(name, 0) + 1
-        for name in event.release:
-            count = forced.get(name, 0)
-            if count <= 0:
-                raise SimulationError(
-                    f"fault event at t={event.time} releases {name!r}, "
-                    "which is not forced down"
-                )
-            forced[name] = count - 1
-        for name in touched:
-            effective[name] = up[name] and forced.get(name, 0) == 0
-            refresh_services(name)
-        if event.service_factors:
-            factors.update(event.service_factors)
-            refresh_set_factors()
+    structures = [model.service_structure(s) for s in model.services]
+    components = [
+        [(name, 1 << index[name]) for name in set(structure.component_names())]
+        for structure in structures
+    ]
+    component_masks = [sum(bit for _, bit in comps) for comps in components]
+    state_memo = [{} for _ in structures]
+    dependents = [[] for _ in processes]
+    for k, comps in enumerate(components):
+        for name, _ in comps:
+            dependents[index[name]].append(k)
+    availability_memo: Dict[int, float] = {}
 
     clock = 0.0
     weighted_availability = 0.0
@@ -386,23 +346,43 @@ def simulate_user_availability_over_time(
     transitions = 0
     applied = 0
     next_fault = 0
-    current = conditional_user_availability()
+    services_up = 0
+    stale = range(len(structures))  # every service, once up front
+    never = float("inf")
 
-    while clock < horizon:
+    while True:
+        for k in stale:
+            key = effective & component_masks[k]
+            state = state_memo[k].get(key)
+            if state is None:
+                state = state_memo[k][key] = structure_function(
+                    structures[k],
+                    {name: bool(key & bit) for name, bit in components[k]},
+                )
+            if state:
+                services_up |= 1 << k
+            else:
+                services_up &= ~(1 << k)
+        current = availability_memo.get(services_up)
+        if current is None:
+            current = availability_memo[services_up] = sum(
+                weight
+                for weight, required in terms
+                if required & services_up == required
+            )
+        if not clock < horizon:
+            break
         if cancellation is not None:
             cancellation.count_event()
-        name = min(next_event, key=next_event.get) if next_event else None
-        resource_time = next_event[name] if name is not None else float("inf")
+        resource_time, i = calendar[0] if calendar else (never, -1)
         fault_time = (
-            timeline[next_fault].time
-            if next_fault < len(timeline)
-            else float("inf")
+            timeline[next_fault].time if next_fault < len(timeline) else never
         )
         event_time = min(resource_time, fault_time)
         step_end = min(event_time, horizon)
         dt = step_end - clock
         weighted_availability += current * dt
-        if all(effective[r] for r in names):
+        if effective == all_up:
             fully_up_time += dt
         if current == 0.0:
             outage_time += dt
@@ -413,7 +393,30 @@ def simulate_user_availability_over_time(
             break
         if fault_time <= resource_time:
             event = timeline[next_fault]
-            apply_fault(event)
+            touched = {index[r] for r in event.force_down | event.release}
+            for name in event.force_down:
+                forced[index[name]] += 1
+            for name in event.release:
+                if forced[index[name]] <= 0:
+                    raise SimulationError(
+                        f"fault event at t={event.time} releases {name!r}, "
+                        "which is not forced down"
+                    )
+                forced[index[name]] -= 1
+            for r in touched:
+                if up[r] and not forced[r]:
+                    effective |= 1 << r
+                else:
+                    effective &= ~(1 << r)
+            stale = {k for r in touched for k in dependents[r]}
+            if event.service_factors:
+                factors.update(event.service_factors)
+                for k, (weight, members, required) in enumerate(weighted_sets):
+                    product = 1.0
+                    for service in sorted(members):
+                        product *= factors.get(service, 1.0)
+                    terms[k] = (weight * product, required)
+                availability_memo.clear()
             if observer is not None:
                 observer.fault(event.time, event)
             next_fault += 1
@@ -421,12 +424,13 @@ def simulate_user_availability_over_time(
         else:
             # Flip the resource's natural state and schedule its next
             # transition; the effective state honours forced windows.
-            up[name] = not up[name]
-            effective[name] = up[name] and forced.get(name, 0) == 0
-            refresh_services(name)
-            process = rates[name]
-            rate = process.failure_rate if up[name] else process.repair_rate
-            next_event[name] = clock + rng.exponential(1.0 / rate)
+            up[i] = not up[i]
+            if not forced[i]:
+                effective ^= 1 << i
+            stale = dependents[i]
+            heapq.heapreplace(
+                calendar, (clock + rng.exponential(mean_time[i][not up[i]]), i)
+            )
             transitions += 1
             if transitions > max_transitions:
                 raise SimulationError(
@@ -435,7 +439,6 @@ def simulate_user_availability_over_time(
                     f"{clock:.6g} of horizon {horizon:.6g}; rates may be far "
                     "larger than the horizon warrants"
                 )
-        current = conditional_user_availability()
 
     return EndToEndResult(
         horizon=horizon,

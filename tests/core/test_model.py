@@ -1,5 +1,10 @@
 """Tests for the hierarchical model."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core import HierarchicalModel, InteractionDiagram
@@ -159,3 +164,38 @@ class TestUserLevel:
         assert importance["database"] == pytest.approx(
             0.4 * 0.99 * 0.99, rel=1e-12
         )
+
+
+# Eq. (10) for both architectures and both Table 1 classes, per scenario
+# and in total, printed at full precision.
+_EQ10_SCRIPT = """
+from repro.ta import CLASS_A, CLASS_B, TravelAgencyModel
+for architecture in ("basic", "redundant"):
+    model = TravelAgencyModel(architecture=architecture).hierarchical_model
+    for users in (CLASS_A, CLASS_B):
+        result = model.user_availability(users)
+        print(architecture, users.name, repr(result.availability))
+        for scenario in result.per_scenario:
+            print("  ", repr(scenario.availability))
+"""
+
+
+def test_user_availability_is_independent_of_hash_seed():
+    """Scenario functions and service sets are frozensets; their iteration
+    order follows PYTHONHASHSEED, and float sums and products depend on
+    order, so eq. (10) must iterate them sorted."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    outputs = {}
+    for seed in ("0", "1", "2"):
+        env["PYTHONHASHSEED"] = seed
+        completed = subprocess.run(
+            [sys.executable, "-c", _EQ10_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        outputs[seed] = completed.stdout
+    assert "redundant class B" in outputs["0"]
+    assert outputs["1"] == outputs["0"]
+    assert outputs["2"] == outputs["0"]

@@ -166,6 +166,28 @@ class TestServiceDegradation:
         )
         assert result.average_user_availability == pytest.approx(0.75, abs=0.01)
 
+    def test_factor_change_invalidates_memoized_availability(self, rng):
+        # Never-failing resources: the service-up mask never changes, so
+        # only a factor change can move the conditional availability.
+        # A value memoized under the 0.5 factor would read 0.5 throughout.
+        model = HierarchicalModel()
+        model.add_resource("host-1", 1.0)
+        model.add_resource("host-2", 1.0)
+        model.add_service("web", parallel("host-1", "host-2"))
+        model.add_function("home", services=["web"])
+        faults = [
+            FaultEvent(time=0.0, service_factors={"web": 0.5}),
+            FaultEvent(time=500.0, service_factors={"web": 1.0}),
+        ]
+        result = simulate_user_availability_over_time(
+            model, all_users(), horizon=1000.0, rng=rng, faults=faults
+        )
+        assert result.average_user_availability == 0.75
+        assert result.fraction_fully_available == 1.0
+        assert result.fraction_total_outage == 0.0
+        assert result.resource_transitions == 0
+        assert result.fault_events_applied == 2
+
     def test_null_fault_list_matches_no_faults(self, rng):
         model = small_model(failure_rate=0.2)
         seed_state = rng.bit_generator.state
