@@ -18,6 +18,10 @@ diff`` gates the committed ``BENCH_bayes.json`` the same way.
 
 Both paths must also agree to 1e-9 on every query — a speed win at the
 wrong answer is no win.
+
+A network memoizes each distinct query, so every elimination round
+builds a fresh network outside its timed region: the guard times
+compiling and solving the queries, never a memo lookup.
 """
 
 import json
@@ -58,8 +62,9 @@ def test_variable_elimination_outpaces_enumeration(benchmark):
     assert len(network.nodes) <= 24  # enumeration stays usable as oracle
 
     def run_elimination():
+        fresh = CloudTravelAgency().network
         started = time.perf_counter()
-        values = [network.probability_all_up(q) for q in queries]
+        values = [fresh.probability_all_up(q) for q in queries]
         elapsed = time.perf_counter() - started
         run_elimination.values = values
         return elapsed

@@ -12,7 +12,10 @@ availability is an exact inference query.
 Inference is exact variable elimination over factors (small numpy
 arrays, one axis per variable), with a deterministic greedy
 min-degree elimination order — the networks here are tens of nodes, so
-exactness is cheap.  :meth:`BayesianNetwork.brute_force_probability`
+exactness is cheap.  A network is compiled once: the node factors and
+topological index are built on the first query, and each distinct
+evidence set is solved once and memoized; :meth:`~BayesianNetwork.add_node`
+discards both.  :meth:`BayesianNetwork.brute_force_probability`
 enumerates the full joint as an independent oracle for tests and for
 the ``bench_bayes_inference.py`` speed guard.
 
@@ -72,6 +75,10 @@ class BayesianNetwork:
     def __init__(self) -> None:
         self._nodes: Dict[str, Node] = {}
         self._order: Optional[Tuple[str, ...]] = None
+        # Compiled on the first query, cleared by add_node.
+        self._index: Dict[str, int] = {}
+        self._factors: List["_Factor"] = []
+        self._answers: Dict[Tuple[Tuple[str, bool], ...], float] = {}
 
     # -- construction --------------------------------------------------
 
@@ -110,6 +117,8 @@ class BayesianNetwork:
         node = Node(name=name, parents=parents, table=table)
         self._nodes[name] = node
         self._order = None
+        self._factors = []
+        self._answers = {}
         return node
 
     @staticmethod
@@ -304,15 +313,22 @@ class BayesianNetwork:
         """Exact joint probability of a (partial) node-state assignment.
 
         Unmentioned nodes are marginalized out by variable elimination.
+        Each distinct evidence set is eliminated once per network; a
+        repeated query returns the memoized answer, and only solves are
+        counted in ``bayes_inference_queries``/``bayes_inference_seconds``.
         """
         evidence = self._validate_assignment(assignment, "assignment")
+        key = tuple(sorted(evidence.items()))
+        if key in self._answers:
+            return self._answers[key]
         metrics = active_metrics()
         started = monotonic() if metrics is not None else 0.0
         order = self.topological_order()
-        index = {name: i for i, name in enumerate(order)}
-        factors = [
-            _reduce(self._node_factor(name), evidence) for name in order
-        ]
+        if not self._factors:
+            self._index = {name: i for i, name in enumerate(order)}
+            self._factors = [self._node_factor(name) for name in order]
+        index = self._index
+        factors = [_reduce(factor, evidence) for factor in self._factors]
         hidden = [name for name in order if name not in evidence]
         for var in _elimination_order(factors, hidden, index):
             factors = _eliminate(factors, var, index)
@@ -328,7 +344,9 @@ class BayesianNetwork:
                 "bayes_inference_seconds",
                 help="Wall-clock time of variable-elimination queries.",
             ).observe(monotonic() - started)
-        return min(max(value, 0.0), 1.0)
+        value = min(max(value, 0.0), 1.0)
+        self._answers[key] = value
+        return value
 
     def marginal(
         self,
@@ -419,9 +437,9 @@ class BayesianNetwork:
         node = self._nodes[name]
         k = len(node.parents)
         up = np.asarray(node.table).reshape((2,) * k)
-        return _Factor(
-            node.parents + (name,), np.stack([1.0 - up, up], axis=-1)
-        )
+        values = np.stack([1.0 - up, up], axis=-1)
+        values.flags.writeable = False  # shared by every cached query
+        return _Factor(node.parents + (name,), values)
 
 
 class _Factor:

@@ -212,12 +212,14 @@ class InteractionDiagram:
         """Function availability given per-service availabilities.
 
         ``sum over scenarios of  q_scenario * prod_{s in services} A(s)``
-        — the function-level equations of the paper's Table 6.
+        — the function-level equations of the paper's Table 6.  Each
+        service set is multiplied in sorted order: frozenset iteration
+        follows ``PYTHONHASHSEED``, and float products depend on order.
         """
         total = 0.0
         for services, prob in self.service_usage_distribution().items():
             product = prob
-            for service in services:
+            for service in sorted(services):
                 try:
                     product *= service_availability[service]
                 except KeyError:

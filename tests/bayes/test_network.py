@@ -3,7 +3,9 @@
 Variable elimination is checked against the independent brute-force
 enumeration oracle on seeded random networks, and the validation layer
 is pinned to one-line errors naming the offending node, CPT row, or
-cycle edge.
+cycle edge.  A network compiles its factors once and memoizes each
+distinct query; the compiled-query tests pin that a repeat never
+re-eliminates and that ``add_node`` leaves no stale answer behind.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 from repro.bayes import BayesianNetwork
 from repro.errors import ModelStructureError, ValidationError
+from repro.obs import MetricsRegistry, instrumented
 
 
 def random_network(rng, nodes=7, edge_probability=0.5):
@@ -313,3 +316,99 @@ class TestInference:
             net.add_node(f"n{i}", cpt=0.5)
         with pytest.raises(ValidationError, match="capped at 24 nodes"):
             net.brute_force_probability({"n0": True})
+
+
+def zone_network():
+    net = BayesianNetwork()
+    net.add_node("zone", cpt=0.99)
+    net.add_node("a", parents=("zone",), cpt=(0.0, 0.95))
+    net.add_node("b", parents=("zone",), cpt=(0.0, 0.9))
+    return net
+
+
+class TestCompiledQueries:
+    def test_equal_queries_eliminate_once(self):
+        net = zone_network()
+        registry = MetricsRegistry()
+        with instrumented(metrics=registry):
+            first = net.probability_of({"a": True, "b": False})
+            reordered = net.probability_of({"b": False, "a": True})
+            as_ints = net.probability_of({"a": 1, "b": 0})
+            assert registry.value("bayes_inference_queries") == 1
+            assert registry.get("bayes_inference_seconds").count == 1
+            net.probability_of({"a": True, "b": True})
+            assert registry.value("bayes_inference_queries") == 2
+        assert first == reordered == as_ints
+        assert first == zone_network().probability_of({"a": True, "b": False})
+
+    def test_add_node_invalidates_compiled_answers(self):
+        net = zone_network()
+        before = net.marginal("a", evidence={"b": True})
+        net.probability_all_up(("a", "b"))
+        # The new child joins every later elimination that sums it out.
+        net.add_node("c", parents=("a", "b"), cpt=(0.0, 0.5, 0.5, 1.0))
+        fresh = zone_network()
+        fresh.add_node("c", parents=("a", "b"), cpt=(0.0, 0.5, 0.5, 1.0))
+        assert net.marginal("a", evidence={"b": True}) == fresh.marginal(
+            "a", evidence={"b": True}
+        )
+        assert net.marginal("a", evidence={"b": True}) == pytest.approx(
+            before, abs=1e-12
+        )
+        for query in ({"a": True, "b": True}, {"c": True}, {"zone": False}):
+            assert net.probability_of(query) == fresh.probability_of(query)
+        assert net.marginal("zone", evidence={"c": True}) == fresh.marginal(
+            "zone", evidence={"c": True}
+        )
+
+    def test_forward_reference_completed_after_failed_query(self):
+        net = BayesianNetwork()
+        net.add_node("replica", parents=("zone",), cpt=(0.0, 0.95))
+        with pytest.raises(ModelStructureError, match="undefined parent"):
+            net.marginal("replica")
+        net.add_node("zone", cpt=0.99)
+        fresh = BayesianNetwork()
+        fresh.add_node("replica", parents=("zone",), cpt=(0.0, 0.95))
+        fresh.add_node("zone", cpt=0.99)
+        assert net.marginal("replica") == fresh.marginal("replica")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_incremental_build_matches_fresh_build(self, seed):
+        # Query after every add_node; each answer must equal a network
+        # built from scratch with the same nodes, bit for bit.
+        rng = np.random.default_rng(seed)
+        full, names = random_network(rng)
+        queries = []
+        for _ in range(6):
+            chosen = [n for n in names if rng.random() < 0.5] or [names[0]]
+            queries.append({n: bool(rng.integers(2)) for n in chosen})
+        grown = BayesianNetwork()
+        for size, node in enumerate(full, start=1):
+            grown.add_node(node.name, parents=node.parents, cpt=node.table)
+            fresh = BayesianNetwork()
+            for earlier in list(full)[:size]:
+                fresh.add_node(
+                    earlier.name, parents=earlier.parents, cpt=earlier.table
+                )
+            for query in queries:
+                known = {n: s for n, s in query.items() if n in fresh}
+                if known:
+                    assert grown.probability_of(known) == (
+                        fresh.probability_of(known)
+                    )
+
+    def test_zero_probability_evidence_still_rejected_on_repeat(self):
+        net = BayesianNetwork()
+        net.add_node("zone", cpt=0.99)
+        net.add_node("replica", parents=("zone",), cpt=(0.0, 1.0))
+        net.add_node("other", cpt=0.5)
+        evidence = {"zone": True, "replica": False}
+        messages = []
+        for attempt in (evidence, dict(reversed(evidence.items())), evidence):
+            with pytest.raises(ValidationError) as caught:
+                net.marginal("other", evidence=attempt)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1] == messages[2]
+        assert "\n" not in messages[0]
+        assert "probability zero" in messages[0]
+        assert net.probability_of(evidence) == 0.0

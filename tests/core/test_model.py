@@ -180,10 +180,8 @@ for architecture in ("basic", "redundant"):
 """
 
 
-def test_user_availability_is_independent_of_hash_seed():
-    """Scenario functions and service sets are frozensets; their iteration
-    order follows PYTHONHASHSEED, and float sums and products depend on
-    order, so eq. (10) must iterate them sorted."""
+def _outputs_under_hash_seeds(script):
+    """stdout of *script* run under PYTHONHASHSEED 0, 1 and 2."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[2] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -191,11 +189,39 @@ def test_user_availability_is_independent_of_hash_seed():
     for seed in ("0", "1", "2"):
         env["PYTHONHASHSEED"] = seed
         completed = subprocess.run(
-            [sys.executable, "-c", _EQ10_SCRIPT],
+            [sys.executable, "-c", script],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert completed.returncode == 0, completed.stderr
         outputs[seed] = completed.stdout
+    return outputs
+
+
+def test_user_availability_is_independent_of_hash_seed():
+    """Scenario functions and service sets are frozensets; their iteration
+    order follows PYTHONHASHSEED, and float sums and products depend on
+    order, so eq. (10) must iterate them sorted."""
+    outputs = _outputs_under_hash_seeds(_EQ10_SCRIPT)
     assert "redundant class B" in outputs["0"]
+    assert outputs["1"] == outputs["0"]
+    assert outputs["2"] == outputs["0"]
+
+
+# Table 6 function availabilities for both architectures, at full
+# precision.
+_TABLE6_SCRIPT = """
+from repro.ta import TravelAgencyModel
+for architecture in ("basic", "redundant"):
+    model = TravelAgencyModel(architecture=architecture)
+    for name, value in sorted(model.function_availabilities().items()):
+        print(architecture, name, repr(value))
+"""
+
+
+def test_function_availability_is_independent_of_hash_seed():
+    """A function's service sets are frozensets too; the Table 6
+    products must iterate them sorted."""
+    outputs = _outputs_under_hash_seeds(_TABLE6_SCRIPT)
+    assert "redundant pay" in outputs["0"]
     assert outputs["1"] == outputs["0"]
     assert outputs["2"] == outputs["0"]
