@@ -108,6 +108,15 @@ all files are written even when a deadline aborts the run.
 Instrumentation never changes stdout — a ``--metrics``/``--trace``/
 ``--profile`` run prints byte-identical results.
 
+Every flag is declared once, as a :class:`repro.workloads.Param`: the
+workload parameters shared with the server's job specs (``sweep``,
+``policies``, ``inject`` = the ``campaign`` kind, ``cloud``) in
+:mod:`repro.workloads`, the CLI-only ones in :data:`COMMAND_PARAMS`.
+``build_parser`` generates each subcommand's flags from its tuple
+(``arrival_rate`` becomes ``--arrival-rate``) and ``main`` checks the
+parsed values against the same records before dispatch, so the CLI and
+the server accept and reject exactly the same values.
+
 Run ``python -m repro <command> --help`` for the options of each.
 Errors are reported as a one-line message with exit code 2; pass
 ``--debug`` (before the subcommand) to get the full traceback instead.
@@ -120,10 +129,189 @@ import contextlib
 import sys
 from typing import List, Optional
 
+from . import workloads
 from .reporting import format_downtime, format_table
-from .workloads import FAULT_SCENARIOS, SWEEP_FAILURE_RATES
+from .workloads import Param
 
 __all__ = ["main", "build_parser"]
+
+
+# -- CLI-only parameters (the shared ones live in repro.workloads) ------
+
+DEADLINE = Param(
+    "deadline", float, low=0.0, low_open=True, metavar="SECONDS",
+    help="wall-clock budget; exceeding it aborts cleanly with exit code 2 "
+         "(journaled work is preserved)",
+)
+#: The fault-tolerant-execution and artifact flags (see repro.runtime).
+RUNTIME = (
+    DEADLINE,
+    Param("progress", bool, False,
+          help="print heartbeat/liveness lines to stderr"),
+    Param("metrics", str, metavar="PATH",
+          help="write a metrics snapshot (JSON) of the run; render it "
+               "with `repro stats`"),
+    Param("trace", str, metavar="PATH",
+          help="write a span timeline as Chrome trace-event JSONL "
+               "(chrome://tracing / Perfetto compatible)"),
+    Param("profile", str, metavar="DIR",
+          help="write performance-attribution artifacts (attribution "
+               "report, kernel accounting, flamegraph) to this directory; "
+               "stdout stays byte-identical"),
+)
+JOURNAL = Param("journal", str, metavar="PATH")
+CACHE_DIR = Param(
+    "cache_dir", str, metavar="DIR",
+    help="on-disk memo cache; a warm rerun recomputes nothing",
+)
+
+#: subcommand -> its flags; build_parser adds them and main validates them.
+COMMAND_PARAMS = {
+    "ta": (
+        workloads.ARCHITECTURE,
+        workloads.USER_CLASS,
+        Param("reservations", int, low=1, metavar="N",
+              help="set N_F = N_H = N_C (defaults to the paper's 5)"),
+        Param("sweep", bool, False,
+              help="print the Table 8 sweep over N in {1,2,3,4,5,10}"),
+        Param("categories", bool, False,
+              help="print the Fig. 13 SC1-SC4 breakdown"),
+        Param("report", bool, False,
+              help="print the full five-section availability report"),
+    ),
+    "web": (
+        workloads.SERVERS,
+        workloads.ARRIVAL_RATE,
+        workloads.SERVICE_RATE,
+        workloads.BUFFER,
+        Param("failure_rate", float, 1e-4, low=0.0, low_open=True,
+              help="per-server failures per hour"),
+        Param("repair_rate", float, 1.0, low=0.0, low_open=True,
+              help="repairs per hour (shared facility)"),
+        Param("coverage", float, low=0.0, high=1.0,
+              help="failure coverage c (omit for perfect coverage)"),
+        Param("reconfiguration_rate", float, 12.0, low=0.0, low_open=True,
+              help="manual reconfigurations per hour"),
+        DEADLINE._replace(
+            help="also report availability under a latency SLO"
+        ),
+    ),
+    "evaluate": (
+        Param("user_class", str,
+              help="evaluate one declared user class (default: all)"),
+    ),
+    "inject": workloads.CAMPAIGN + RUNTIME + (JOURNAL._replace(help=(
+        "journal per-replication results to this JSONL file "
+        "(crash-consistent; resumable via `repro resume`); "
+        "requires --user-class A or B"
+    )),),
+    "retries": (
+        workloads.ARCHITECTURE,
+        workloads.USER_CLASS,
+        workloads.MAX_RETRIES,
+        workloads.PERSISTENCE,
+        Param("sweep", bool, False,
+              help="print Table 8 with a retry-adjusted column"),
+        Param("simulate", int, low=1, metavar="SESSIONS",
+              help="cross-validate with a discrete-event retry simulation"),
+        workloads.SEED,
+        workloads.WORKERS,
+    ) + RUNTIME + (JOURNAL._replace(
+        help="append per-class retry results to this JSONL journal"
+    ),),
+    "resume": RUNTIME,
+    "sweep": workloads.SWEEP + (CACHE_DIR,) + RUNTIME + (JOURNAL._replace(
+        help="journal per-cell results to this JSONL file; re-running the "
+             "same sweep over it resumes instead of recomputing"
+    ),),
+    "policies": workloads.POLICIES + (CACHE_DIR,) + RUNTIME,
+    "cloud": workloads.CLOUD + (CACHE_DIR,) + RUNTIME,
+    "chaos": (
+        workloads.FIGURE,
+        workloads.ARRIVAL_RATE,
+        workloads.SERVERS_MAX,
+        workloads.WORKERS._replace(
+            default=2, help="worker processes (kill-worker needs >= 2)"
+        ),
+        workloads.SEED._replace(help="seed choosing the injection sites"),
+        Param("faults", int, 2, low=1,
+              help="planned injections (kills, transient faults, corrupted "
+                   "cache entries, or torn journal records)"),
+    ) + RUNTIME,
+    "stats": (
+        Param("format", str, "table",
+              choices=("table", "openmetrics", "json"),
+              help="output format (default: a sorted fixed-width table)"),
+    ),
+    "slo": (
+        workloads.SCENARIO,
+        workloads.ARCHITECTURE,
+        workloads.USER_CLASS,
+        workloads.HORIZON,
+        workloads.REPLICATIONS._replace(
+            default=4,
+            help="replications streamed back to back onto one timeline",
+        ),
+        workloads.SEED,
+        Param("session_rate", float, 1.0, low=0.0, low_open=True,
+              help="user sessions per simulated hour (Poisson sampling)"),
+        Param("objective", float, low=0.0, high=1.0, low_open=True,
+              high_open=True,
+              help="availability objective in (0, 1); default is the "
+                   "analytic eq.-(10) value of each user class"),
+        Param("short_window", float, 50.0, low=0.0, low_open=True,
+              metavar="HOURS",
+              help="short burn-rate window (also clears active alerts)"),
+        Param("long_window", float, 500.0, low=0.0, low_open=True,
+              metavar="HOURS",
+              help="long burn-rate window (suppresses blips)"),
+        Param("burn_threshold", float, 5.0, low=0.0, low_open=True,
+              help="alert when every window burns at or above this rate"),
+    ),
+    "diff": (
+        Param("include_unchanged", bool, False,
+              help="metrics mode: also list series that did not move"),
+        # Guard thresholds may legitimately be zero or negative (a "must
+        # be at least this much faster" bench): only finiteness is checked.
+        Param("threshold", float,
+              help="bench mode: override the records' own guard_threshold "
+                   "for the regression verdict"),
+    ),
+    "trace-report": (
+        Param("top", int, 10, low=1, metavar="K",
+              help="number of spans in the top-spans table"),
+    ),
+    "serve": (
+        Param("host", str, "127.0.0.1",
+              help="bind address (default: loopback only)"),
+        Param("port", int, 8033, low=0, high=65535,
+              help="TCP port; 0 picks an ephemeral port"),
+        workloads.WORKERS._replace(
+            default=2,
+            help="concurrent evaluation slots c (the M/M/c/K servers)",
+        ),
+        Param("queue_limit", int, 8, low=1,
+              help="admission capacity K: running + queued jobs; a "
+                   "submission finding K jobs in the system is rejected "
+                   "with 503"),
+        JOURNAL._replace(
+            help="journal job submissions/results to this JSONL file; a "
+                 "restart restores results and re-runs interrupted jobs"
+        ),
+        Param("slo_objective", float, 0.999, low=0.0, high=1.0,
+              low_open=True, high_open=True,
+              help="admission availability objective watched by the SLO "
+                   "monitor"),
+        Param("port_file", str, metavar="PATH",
+              help="write the bound port to this file once listening (for "
+                   "scripts using --port 0)"),
+    ),
+    "profile": (
+        Param("out", str, "profile-artifacts", metavar="DIR",
+              help="directory for attribution.json/.txt, profile.collapsed, "
+                   "and profile.speedscope.json (default: %(default)s)"),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,266 +329,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    ta = commands.add_parser(
-        "ta", help="evaluate the paper's Travel Agency case study"
-    )
-    ta.add_argument(
-        "--architecture", choices=("basic", "redundant"), default="redundant",
-        help="Fig. 7 (basic) or Fig. 8 (redundant) architecture",
-    )
-    ta.add_argument(
-        "--user-class", choices=("A", "B", "both"), default="both",
-        help="which Table 1 user class to evaluate",
-    )
-    ta.add_argument(
-        "--reservations", type=int, default=None, metavar="N",
-        help="set N_F = N_H = N_C (defaults to the paper's 5)",
-    )
-    ta.add_argument(
-        "--sweep", action="store_true",
-        help="print the Table 8 sweep over N in {1,2,3,4,5,10}",
-    )
-    ta.add_argument(
-        "--categories", action="store_true",
-        help="print the Fig. 13 SC1-SC4 breakdown",
-    )
-    ta.add_argument(
-        "--report", action="store_true",
-        help="print the full five-section availability report",
-    )
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=summary)
+        for param in COMMAND_PARAMS[name]:
+            if param.type is bool:
+                sub.add_argument(
+                    param.flag, action="store_true", help=param.help
+                )
+            else:
+                sub.add_argument(
+                    param.flag,
+                    type=param.type,
+                    default=param.default,
+                    choices=param.choices,
+                    metavar=param.metavar,
+                    help=param.help,
+                )
+        return sub
 
-    web = commands.add_parser(
-        "web", help="evaluate a web-server farm (Table 5 models)"
+    command("ta", "evaluate the paper's Travel Agency case study")
+    command("web", "evaluate a web-server farm (Table 5 models)")
+    command(
+        "evaluate", "evaluate a custom model from a JSON spec file"
+    ).add_argument("spec", help="path to the JSON model specification")
+    command(
+        "inject", "run a fault-injection campaign against the Travel Agency"
     )
-    web.add_argument("--servers", type=int, default=4)
-    web.add_argument("--arrival-rate", type=float, default=100.0,
-                     help="requests per second")
-    web.add_argument("--service-rate", type=float, default=100.0,
-                     help="requests per second per server")
-    web.add_argument("--buffer", type=int, default=10,
-                     help="total capacity K")
-    web.add_argument("--failure-rate", type=float, default=1e-4,
-                     help="per-server failures per hour")
-    web.add_argument("--repair-rate", type=float, default=1.0,
-                     help="repairs per hour (shared facility)")
-    web.add_argument("--coverage", type=float, default=None,
-                     help="failure coverage c (omit for perfect coverage)")
-    web.add_argument("--reconfiguration-rate", type=float, default=12.0,
-                     help="manual reconfigurations per hour")
-    web.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
-                     help="also report availability under a latency SLO")
-
-    evaluate = commands.add_parser(
-        "evaluate", help="evaluate a custom model from a JSON spec file"
-    )
-    evaluate.add_argument("spec", help="path to the JSON model specification")
-    evaluate.add_argument(
-        "--user-class", default=None,
-        help="evaluate one declared user class (default: all)",
-    )
-
-    inject = commands.add_parser(
-        "inject",
-        help="run a fault-injection campaign against the Travel Agency",
-    )
-    inject.add_argument(
-        "--scenario", choices=sorted(FAULT_SCENARIOS), default="null",
-        help="fault scenario to inject (null = calibration campaign)",
-    )
-    inject.add_argument(
-        "--architecture", choices=("basic", "redundant"), default="redundant",
-    )
-    inject.add_argument(
-        "--user-class", choices=("A", "B", "both"), default="both",
-    )
-    inject.add_argument(
-        "--horizon", type=float, default=5000.0,
-        help="simulated hours per replication",
-    )
-    inject.add_argument(
-        "--replications", type=int, default=6,
-        help="independent replications per campaign",
-    )
-    inject.add_argument("--seed", type=int, default=0)
-    inject.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for replications; output is bit-identical "
-             "for any count",
-    )
-    _add_runtime_flags(inject, journal_help=(
-        "journal per-replication results to this JSONL file "
-        "(crash-consistent; resumable via `repro resume`); "
-        "requires --user-class A or B"
-    ))
-
-    retries = commands.add_parser(
+    command(
         "retries",
-        help="retry-adjusted user-perceived availability (eq. 10 + retries)",
+        "retry-adjusted user-perceived availability (eq. 10 + retries)",
     )
-    retries.add_argument(
-        "--architecture", choices=("basic", "redundant"), default="redundant",
+    command(
+        "resume", "resume an interrupted `repro inject --journal` campaign"
+    ).add_argument("journal", help="path to the campaign journal")
+    command(
+        "sweep", "regenerate a Fig. 11/12 grid through the evaluation engine"
     )
-    retries.add_argument(
-        "--user-class", choices=("A", "B", "both"), default="both",
-    )
-    retries.add_argument(
-        "--max-retries", type=int, default=3,
-        help="retry budget k (0 reproduces the paper's measure)",
-    )
-    retries.add_argument(
-        "--persistence", type=float, default=1.0,
-        help="probability the user retries after each failure",
-    )
-    retries.add_argument(
-        "--sweep", action="store_true",
-        help="print Table 8 with a retry-adjusted column",
-    )
-    retries.add_argument(
-        "--simulate", type=int, default=None, metavar="SESSIONS",
-        help="cross-validate with a discrete-event retry simulation",
-    )
-    retries.add_argument("--seed", type=int, default=0)
-    retries.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the --simulate cross-validation; "
-             "output is bit-identical for any count",
-    )
-    _add_runtime_flags(retries, journal_help=(
-        "append per-class retry results to this JSONL journal"
-    ))
-
-    resume = commands.add_parser(
-        "resume",
-        help="resume an interrupted `repro inject --journal` campaign",
-    )
-    resume.add_argument("journal", help="path to the campaign journal")
-    _add_runtime_flags(resume, journal=False)
-
-    sweep = commands.add_parser(
-        "sweep",
-        help="regenerate a Fig. 11/12 grid through the evaluation engine",
-    )
-    sweep.add_argument(
-        "--figure", choices=("11", "12"), default="11",
-        help="11 = perfect coverage, 12 = coverage 0.98 with manual "
-             "reconfiguration at 12/h",
-    )
-    sweep.add_argument(
-        "--arrival-rate", type=float, default=100.0,
-        help="requests per second (the paper plots 50, 100 and 150)",
-    )
-    sweep.add_argument(
-        "--servers-max", type=int, default=10, metavar="N",
-        help="sweep NW over 1..N",
-    )
-    sweep.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes; output is bit-identical for any count",
-    )
-    sweep.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="on-disk memo cache; a warm rerun recomputes nothing",
-    )
-    _add_runtime_flags(sweep, journal_help=(
-        "journal per-cell results to this JSONL file; re-running the "
-        "same sweep over it resumes instead of recomputing"
-    ))
-
-    policies = commands.add_parser(
+    command(
         "policies",
-        help=(
-            "rank client-side resilience policies (retry, circuit "
-            "breaker, timeout, hedge) across farm fault scenarios"
-        ),
+        "rank client-side resilience policies (retry, circuit breaker, "
+        "timeout, hedge) across farm fault scenarios",
     )
-    policies.add_argument(
-        "--arrival-rate", type=float, default=100.0,
-        help="nominal requests per second offered to the farm",
-    )
-    policies.add_argument(
-        "--service-rate", type=float, default=100.0,
-        help="per-server service rate (requests per second)",
-    )
-    policies.add_argument(
-        "--servers", type=int, default=4,
-        help="web servers in the nominal farm (paper: NW = 4)",
-    )
-    policies.add_argument(
-        "--buffer", type=int, default=10,
-        help="total buffer capacity K of the farm queue",
-    )
-    policies.add_argument(
-        "--timeout", type=float, default=0.05, metavar="SECONDS",
-        help="request timeout of the timeout and hedge policies",
-    )
-    policies.add_argument(
-        "--hedge-delay", type=float, default=0.02, metavar="SECONDS",
-        help="delay before the hedge policy issues its spare request",
-    )
-    policies.add_argument(
-        "--max-retries", type=int, default=3,
-        help="retry budget of the retry policy",
-    )
-    policies.add_argument(
-        "--persistence", type=float, default=1.0,
-        help="per-failure retry probability of the retry policy",
-    )
-    policies.add_argument(
-        "--breaker-threshold", type=int, default=3,
-        help="consecutive failures that trip the circuit breaker",
-    )
-    policies.add_argument(
-        "--breaker-reset", type=float, default=30.0, metavar="SECONDS",
-        help="mean open-state dwell before a recovery probe",
-    )
-    policies.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes; output is bit-identical for any count",
-    )
-    policies.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="on-disk memo cache; a warm rerun recomputes nothing",
-    )
-    _add_runtime_flags(policies, journal=False)
-
-    cloud = commands.add_parser(
+    command(
         "cloud",
-        help=(
-            "rank cloud deployments of the Travel Agency (multi-zone "
-            "replica sets, zonal common-cause failures, autoscaling "
-            "M/M/c/K farm) by user-perceived availability"
-        ),
+        "rank cloud deployments of the Travel Agency (multi-zone replica "
+        "sets, zonal common-cause failures, autoscaling M/M/c/K farm) by "
+        "user-perceived availability",
     )
-    cloud.add_argument(
-        "--arrival-rate", type=float, default=100.0,
-        help="requests per second offered to the web farm",
-    )
-    cloud.add_argument(
-        "--service-rate", type=float, default=100.0,
-        help="per-server service rate (requests per second)",
-    )
-    cloud.add_argument(
-        "--zone-availability", type=float, default=0.9995,
-        help="availability of each zone (the common-cause root nodes)",
-    )
-    cloud.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes; output is bit-identical for any count",
-    )
-    cloud.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="on-disk memo cache; a warm rerun recomputes nothing",
-    )
-    _add_runtime_flags(cloud, journal=False)
-
-    chaos = commands.add_parser(
+    command(
         "chaos",
-        help=(
-            "run a Fig. 11/12 sweep under deterministic fault injection "
-            "and verify byte-identical recovery"
-        ),
-    )
-    chaos.add_argument(
+        "run a Fig. 11/12 sweep under deterministic fault injection and "
+        "verify byte-identical recovery",
+    ).add_argument(
         "--injector", required=True,
         choices=("kill-worker", "transient", "corrupt-cache",
                  "truncate-journal"),
@@ -410,191 +390,42 @@ def build_parser() -> argparse.ArgumentParser:
             "tear the tail off a resume journal"
         ),
     )
-    chaos.add_argument(
-        "--figure", choices=("11", "12"), default="11",
-        help="the sensitivity grid to run under injection",
-    )
-    chaos.add_argument(
-        "--arrival-rate", type=float, default=100.0,
-        help="requests per second (matches `repro sweep`)",
-    )
-    chaos.add_argument(
-        "--servers-max", type=int, default=10, metavar="N",
-        help="sweep NW over 1..N",
-    )
-    chaos.add_argument(
-        "--workers", type=int, default=2,
-        help="worker processes (kill-worker needs >= 2)",
-    )
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="seed choosing the injection sites")
-    chaos.add_argument(
-        "--faults", type=int, default=2,
-        help="planned injections (kills, transient faults, corrupted "
-             "cache entries, or torn journal records)",
-    )
-    _add_runtime_flags(chaos, journal=False)
-
-    stats = commands.add_parser(
-        "stats",
-        help="merge and render metrics files written by --metrics",
-    )
-    stats.add_argument(
+    command(
+        "stats", "merge and render metrics files written by --metrics"
+    ).add_argument(
         "files", nargs="+", metavar="METRICS",
         help="one or more --metrics JSON snapshots (merged by name)",
     )
-    stats.add_argument(
-        "--format", choices=("table", "openmetrics", "json"),
-        default="table",
-        help="output format (default: a sorted fixed-width table)",
-    )
-
-    slo = commands.add_parser(
+    command(
         "slo",
-        help=(
-            "monitor the user-perceived availability SLO over a "
-            "simulated campaign (multi-window burn-rate alerting)"
-        ),
+        "monitor the user-perceived availability SLO over a simulated "
+        "campaign (multi-window burn-rate alerting)",
     )
-    slo.add_argument(
-        "--scenario", choices=sorted(FAULT_SCENARIOS), default="null",
-        help="fault scenario to inject while monitoring",
-    )
-    slo.add_argument(
-        "--architecture", choices=("basic", "redundant"), default="redundant",
-    )
-    slo.add_argument(
-        "--user-class", choices=("A", "B", "both"), default="both",
-    )
-    slo.add_argument(
-        "--horizon", type=float, default=5000.0,
-        help="simulated hours per replication",
-    )
-    slo.add_argument(
-        "--replications", type=int, default=4,
-        help="replications streamed back to back onto one timeline",
-    )
-    slo.add_argument("--seed", type=int, default=0)
-    slo.add_argument(
-        "--session-rate", type=float, default=1.0,
-        help="user sessions per simulated hour (Poisson sampling)",
-    )
-    slo.add_argument(
-        "--objective", type=float, default=None,
-        help=(
-            "availability objective in (0, 1); default is the analytic "
-            "eq.-(10) value of each user class"
-        ),
-    )
-    slo.add_argument(
-        "--short-window", type=float, default=50.0, metavar="HOURS",
-        help="short burn-rate window (also clears active alerts)",
-    )
-    slo.add_argument(
-        "--long-window", type=float, default=500.0, metavar="HOURS",
-        help="long burn-rate window (suppresses blips)",
-    )
-    slo.add_argument(
-        "--burn-threshold", type=float, default=5.0,
-        help="alert when every window burns at or above this rate",
-    )
-
-    diff = commands.add_parser(
+    diff = command(
         "diff",
-        help=(
-            "diff two metrics snapshots or BENCH_*.json records "
-            "(bench regressions exit with code 1)"
-        ),
+        "diff two metrics snapshots or BENCH_*.json records (bench "
+        "regressions exit with code 1)",
     )
     diff.add_argument("old", help="baseline artifact (JSON)")
     diff.add_argument("new", help="current artifact (JSON)")
-    diff.add_argument(
-        "--include-unchanged", action="store_true",
-        help="metrics mode: also list series that did not move",
-    )
-    diff.add_argument(
-        "--threshold", type=float, default=None,
-        help=(
-            "bench mode: override the records' own guard_threshold for "
-            "the regression verdict"
-        ),
-    )
-
-    trace_report = commands.add_parser(
-        "trace-report",
-        help="analyze a --trace Chrome trace JSONL file",
-    )
     # dest must not be "trace": _setup_instrumentation reads args.trace
     # as the ambient --trace output path and would truncate the input.
-    trace_report.add_argument(
+    command(
+        "trace-report", "analyze a --trace Chrome trace JSONL file"
+    ).add_argument(
         "trace_file", metavar="trace", help="path to the trace JSONL"
     )
-    trace_report.add_argument(
-        "--top", type=int, default=10, metavar="K",
-        help="number of spans in the top-spans table",
-    )
-
-    serve = commands.add_parser(
+    command(
         "serve",
-        help=(
-            "run the evaluation server (HTTP job API, SSE streaming, "
-            "OpenMetrics /metrics, M/M/c/K self-modeling admission)"
-        ),
+        "run the evaluation server (HTTP job API, SSE streaming, "
+        "OpenMetrics /metrics, M/M/c/K self-modeling admission)",
     )
-    serve.add_argument(
-        "--host", default="127.0.0.1",
-        help="bind address (default: loopback only)",
-    )
-    serve.add_argument(
-        "--port", type=int, default=8033,
-        help="TCP port; 0 picks an ephemeral port",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=2,
-        help="concurrent evaluation slots c (the M/M/c/K servers)",
-    )
-    serve.add_argument(
-        "--queue-limit", type=int, default=8,
-        help=(
-            "admission capacity K: running + queued jobs; a submission "
-            "finding K jobs in the system is rejected with 503"
-        ),
-    )
-    serve.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help=(
-            "journal job submissions/results to this JSONL file; a "
-            "restart restores results and re-runs interrupted jobs"
-        ),
-    )
-    serve.add_argument(
-        "--slo-objective", type=float, default=0.999,
-        help="admission availability objective watched by the SLO monitor",
-    )
-    serve.add_argument(
-        "--port-file", default=None, metavar="PATH",
-        help=(
-            "write the bound port to this file once listening (for "
-            "scripts using --port 0)"
-        ),
-    )
-
-    profile = commands.add_parser(
+    command(
         "profile",
-        help=(
-            "run another subcommand under performance attribution "
-            "(kernel accounting, phase/idle timelines, flamegraph); "
-            "stdout stays byte-identical, artifacts land in --out"
-        ),
-    )
-    profile.add_argument(
-        "--out", default="profile-artifacts", metavar="DIR",
-        help=(
-            "directory for attribution.json/.txt, profile.collapsed, "
-            "and profile.speedscope.json (default: %(default)s)"
-        ),
-    )
-    profile.add_argument(
+        "run another subcommand under performance attribution (kernel "
+        "accounting, phase/idle timelines, flamegraph); stdout stays "
+        "byte-identical, artifacts land in --out",
+    ).add_argument(
         "wrapped", nargs=argparse.REMAINDER, metavar="COMMAND ...",
         help=(
             "the subcommand to profile, with its own flags "
@@ -604,152 +435,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_runtime_flags(parser, journal: bool = True, journal_help: str = ""):
-    """The shared fault-tolerant-execution flags (see repro.runtime)."""
-    parser.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help=(
-            "wall-clock budget; exceeding it aborts cleanly with exit "
-            "code 2 (journaled work is preserved)"
-        ),
-    )
-    parser.add_argument(
-        "--progress", action="store_true",
-        help="print heartbeat/liveness lines to stderr",
-    )
-    parser.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help=(
-            "write a metrics snapshot (JSON) of the run; render it with "
-            "`repro stats`"
-        ),
-    )
-    parser.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help=(
-            "write a span timeline as Chrome trace-event JSONL "
-            "(chrome://tracing / Perfetto compatible)"
-        ),
-    )
-    parser.add_argument(
-        "--profile", default=None, metavar="DIR",
-        help=(
-            "write performance-attribution artifacts (attribution "
-            "report, kernel accounting, flamegraph) to this directory; "
-            "stdout stays byte-identical"
-        ),
-    )
-    if journal:
-        parser.add_argument(
-            "--journal", default=None, metavar="PATH", help=journal_help
-        )
+def _check_args(args) -> None:
+    """Validate every schema-declared flag of the parsed subcommand.
 
-
-def _check_int_flag(
-    value: int,
-    flag: str,
-    minimum: int = 1,
-    maximum: Optional[int] = None,
-) -> int:
-    """Validate an integer CLI flag, naming the flag on failure.
-
-    Every integer flag goes through this helper so bad values fail the
-    same way: one line naming the flag (``error: --workers must be >=
-    1, got 0``), exit code 2.
+    Runs after parsing, not as argparse ``type=`` hooks, so a bad value
+    fails like every other :class:`~repro.errors.ReproError`: one line
+    naming the flag (``error: --workers must be an integer >= 1, got
+    0``), exit code 2, and a traceback under ``--debug``.  ``argparse``
+    parses ``nan`` and ``inf`` as floats; both are rejected here.
     """
-    from .errors import ValidationError
-
-    bad = (
-        not isinstance(value, int)
-        or isinstance(value, bool)
-        or value < minimum
-        or (maximum is not None and value > maximum)
-    )
-    if bad:
-        expected = (
-            f"in {minimum}..{maximum}"
-            if maximum is not None
-            else f">= {minimum}"
-        )
-        raise ValidationError(f"--{flag} must be {expected}, got {value}")
-    return value
-
-
-def _check_float_flag(
-    value: float,
-    flag: str,
-    low: Optional[float] = 0.0,
-    high: Optional[float] = None,
-    low_inclusive: bool = False,
-    high_inclusive: bool = True,
-) -> float:
-    """Validate a float CLI flag, naming the flag on failure.
-
-    The float counterpart of :func:`_check_int_flag`: every float flag
-    of every subcommand goes through this helper so bad values fail the
-    same way — one line naming the flag (``error: --arrival-rate must
-    be > 0, got -1``), exit code 2.  ``argparse``'s ``type=float``
-    happily parses ``nan`` and ``inf``; both are rejected here, where
-    the message can still name the flag.  ``low=None`` skips the range
-    check (any finite number is accepted).
-    """
-    import math
-
-    from .errors import ValidationError
-
-    if low is None and high is None:
-        expected = "a finite number"
-    elif high is None:
-        expected = f"{'>=' if low_inclusive else '>'} {low:g}"
-    else:
-        expected = (
-            f"in {'[' if low_inclusive else '('}{low:g}, "
-            f"{high:g}{']' if high_inclusive else ')'}"
-        )
-
-    def fail() -> None:
-        raise ValidationError(f"--{flag} must be {expected}, got {value}")
-
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        fail()
-    value = float(value)
-    if math.isnan(value) or math.isinf(value):
-        fail()
-    if low is not None and (
-        value < low or (value == low and not low_inclusive)
-    ):
-        fail()
-    if high is not None and (
-        value > high or (value == high and not high_inclusive)
-    ):
-        fail()
-    return value
-
-
-def _check_workers(value: int) -> int:
-    """Validate a ``--workers`` flag value, naming the flag on failure."""
-    return _check_int_flag(value, "workers")
-
-
-def _fault_scenarios():
-    """Named fault scenarios for ``repro inject`` (built lazily)."""
-    from .workloads import fault_scenario_factories
-
-    return fault_scenario_factories()
+    for param in COMMAND_PARAMS[args.command]:
+        workloads.check_param(param, getattr(args, param.name), param.flag)
 
 
 def _cmd_ta(args) -> int:
-    from .ta import CLASS_A, CLASS_B, TAParameters, TravelAgencyModel
-
+    from .ta import TAParameters, TravelAgencyModel
     params = TAParameters()
     if args.reservations is not None:
-        _check_int_flag(args.reservations, "reservations")
         params = params.with_reservation_systems(args.reservations)
     model = TravelAgencyModel(params, architecture=args.architecture)
-
-    classes = {"A": [CLASS_A], "B": [CLASS_B], "both": [CLASS_A, CLASS_B]}[
-        args.user_class
-    ]
+    classes = workloads.selected_classes(args.user_class)
 
     if args.report:
         from .ta.report import availability_report
@@ -804,19 +509,6 @@ def _cmd_ta(args) -> int:
 def _cmd_web(args) -> int:
     from .availability import WebServiceModel
 
-    _check_int_flag(args.servers, "servers")
-    _check_int_flag(args.buffer, "buffer", minimum=0)
-    _check_float_flag(args.arrival_rate, "arrival-rate")
-    _check_float_flag(args.service_rate, "service-rate")
-    _check_float_flag(args.failure_rate, "failure-rate")
-    _check_float_flag(args.repair_rate, "repair-rate")
-    if args.coverage is not None:
-        _check_float_flag(
-            args.coverage, "coverage", low=0.0, high=1.0, low_inclusive=True
-        )
-    _check_float_flag(args.reconfiguration_rate, "reconfiguration-rate")
-    if args.deadline is not None:
-        _check_float_flag(args.deadline, "deadline")
     model = WebServiceModel(
         servers=args.servers,
         arrival_rate=args.arrival_rate,
@@ -881,19 +573,12 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _selected_classes(spec: str):
-    from .workloads import selected_classes
-
-    return selected_classes(spec)
-
-
 def _runtime_context(args):
     """(cancellation, heartbeat) from the shared --deadline/--progress flags."""
     from .runtime import Budget, ConsoleHeartbeat
 
     cancellation = None
     if args.deadline is not None:
-        _check_float_flag(args.deadline, "deadline")
         cancellation = Budget(wall_clock=args.deadline).start()
     heartbeat = ConsoleHeartbeat() if args.progress else None
     return cancellation, heartbeat
@@ -903,15 +588,12 @@ def _cmd_inject(args) -> int:
     from .errors import ValidationError
     from .resilience import run_campaign, run_campaigns
     from .ta import TravelAgencyModel
-    from .workloads import campaign_text
 
-    _check_workers(args.workers)
-    _check_int_flag(args.replications, "replications")
-    _check_int_flag(args.seed, "seed", minimum=0)
-    _check_float_flag(args.horizon, "horizon")
     cancellation, heartbeat = _runtime_context(args)
     model = TravelAgencyModel(architecture=args.architecture)
-    scenario = _fault_scenarios()[args.scenario](model.hierarchical_model)
+    scenario = workloads.fault_scenario_factories()[args.scenario](
+        model.hierarchical_model
+    )
     if args.journal is not None:
         if args.user_class == "both":
             raise ValidationError(
@@ -920,7 +602,7 @@ def _cmd_inject(args) -> int:
             )
         results = [run_campaign(
             model.hierarchical_model,
-            _selected_classes(args.user_class)[0],
+            workloads.selected_classes(args.user_class)[0],
             scenario,
             horizon=args.horizon,
             replications=args.replications,
@@ -939,7 +621,7 @@ def _cmd_inject(args) -> int:
     else:
         results = run_campaigns(
             model.hierarchical_model,
-            _selected_classes(args.user_class),
+            workloads.selected_classes(args.user_class),
             [scenario],
             horizon=args.horizon,
             replications=args.replications,
@@ -948,7 +630,7 @@ def _cmd_inject(args) -> int:
             cancellation=cancellation,
             heartbeat=heartbeat,
         )
-    text, calibrated = campaign_text(
+    text, calibrated = workloads.campaign_text(
         results, args.scenario, args.horizon, args.replications, args.seed
     )
     print(text)
@@ -962,7 +644,6 @@ def _cmd_resume(args) -> int:
     from .resilience import resume_campaign
     from .runtime import read_journal
     from .ta import TravelAgencyModel
-    from .workloads import campaign_text
 
     cancellation, heartbeat = _runtime_context(args)
     records = read_journal(args.journal)
@@ -981,8 +662,10 @@ def _cmd_resume(args) -> int:
             "--journal`; resume it with repro.resilience.resume_campaign()"
         )
     model = TravelAgencyModel(architecture=meta["architecture"])
-    scenario = _fault_scenarios()[meta["scenario"]](model.hierarchical_model)
-    user_class = _selected_classes(meta["user_class"])[0]
+    scenario = workloads.fault_scenario_factories()[meta["scenario"]](
+        model.hierarchical_model
+    )
+    user_class = workloads.selected_classes(meta["user_class"])[0]
     result = resume_campaign(
         args.journal,
         model.hierarchical_model,
@@ -991,7 +674,7 @@ def _cmd_resume(args) -> int:
         cancellation=cancellation,
         heartbeat=heartbeat,
     )
-    text, calibrated = campaign_text(
+    text, calibrated = workloads.campaign_text(
         [result],
         meta["scenario"],
         start["horizon"],
@@ -1017,7 +700,7 @@ def _retry_sim_cell(spec):
     model = TravelAgencyModel(architecture=architecture)
     users = next(
         u
-        for u in _selected_classes("both")
+        for u in workloads.selected_classes("both")
         if u.name == class_name
     )
     sim = estimate_user_availability_with_retries(
@@ -1032,16 +715,6 @@ def _retry_sim_cell(spec):
 
 def _cmd_retries(args) -> int:
     from .resilience import RetryPolicy, format_retry_table
-
-    _check_workers(args.workers)
-    _check_int_flag(args.max_retries, "max-retries", minimum=0)
-    _check_int_flag(args.seed, "seed", minimum=0)
-    _check_float_flag(
-        args.persistence, "persistence", low=0.0, high=1.0,
-        low_inclusive=True,
-    )
-    if args.simulate is not None:
-        _check_int_flag(args.simulate, "simulate")
     policy = RetryPolicy(
         max_retries=args.max_retries, persistence=args.persistence
     )
@@ -1054,7 +727,7 @@ def _cmd_retries(args) -> int:
 
         journal = Journal(args.journal)
     model = TravelAgencyModel(architecture=args.architecture)
-    classes = _selected_classes(args.user_class)
+    classes = workloads.selected_classes(args.user_class)
 
     results = [
         model.retry_adjusted_availability(users, policy) for users in classes
@@ -1151,53 +824,46 @@ def _cmd_retries(args) -> int:
     return 0
 
 
-def _sweep_grid(args, engine, journal=None):
-    """The Fig. 11/12 grid for the parsed CLI flags (see repro.workloads)."""
-    from .workloads import run_fig_sweep
-
-    return run_fig_sweep(
-        args.figure,
-        args.arrival_rate,
-        args.servers_max,
-        engine=engine,
-        journal=journal,
-    )
-
-
-def _sweep_series_text(args, grid) -> str:
-    """The stdout rendering of one Fig. 11/12 grid (sweep and chaos)."""
-    from .workloads import fig_sweep_text
-
-    return fig_sweep_text(args.figure, args.arrival_rate, args.servers_max, grid)
-
-
-def _cmd_sweep(args) -> int:
-    import time
-
+def _engine(args):
+    """The evaluation engine for the --workers/--cache-dir/runtime flags."""
     from .engine import EvaluationEngine
 
-    _check_workers(args.workers)
-    _check_int_flag(args.servers_max, "servers-max")
-    _check_float_flag(args.arrival_rate, "arrival-rate")
     cancellation, heartbeat = _runtime_context(args)
-    engine = EvaluationEngine(
+    return EvaluationEngine(
         workers=args.workers,
         cache_dir=args.cache_dir,
         cancellation=cancellation,
         heartbeat=heartbeat,
     )
-    started = time.monotonic()
-    grid = _sweep_grid(args, engine, journal=args.journal)
-    elapsed = time.monotonic() - started
-    print(_sweep_series_text(args, grid))
-    cells = len(SWEEP_FAILURE_RATES) * args.servers_max
+
+
+def _print_engine_summary(engine, cells: int, elapsed: float) -> None:
+    """The stderr summary of an engine run: cells, wall time, cache use."""
     stats = engine.cache.stats
     rate = f"{stats.hit_rate:.1%}" if stats.lookups else "n/a"
     print(
-        f"engine: workers={args.workers}, {cells} cells in "
+        f"engine: workers={engine.workers}, {cells} cells in "
         f"{elapsed:.2f}s; cache hits={stats.hits} misses={stats.misses} "
         f"hit-rate={rate}",
         file=sys.stderr,
+    )
+
+
+def _cmd_sweep(args) -> int:
+    import time
+
+    engine = _engine(args)
+    started = time.monotonic()
+    grid = workloads.run_fig_sweep(
+        args.figure, args.arrival_rate, args.servers_max,
+        engine=engine, journal=args.journal,
+    )
+    elapsed = time.monotonic() - started
+    print(workloads.fig_sweep_text(
+        args.figure, args.arrival_rate, args.servers_max, grid
+    ))
+    _print_engine_summary(
+        engine, len(workloads.SWEEP_FAILURE_RATES) * args.servers_max, elapsed
     )
     return 0
 
@@ -1219,11 +885,6 @@ def _cmd_chaos(args) -> int:
     from .obs.context import active_metrics
     from .runtime import read_journal
 
-    _check_workers(args.workers)
-    _check_int_flag(args.servers_max, "servers-max")
-    _check_float_flag(args.arrival_rate, "arrival-rate")
-    _check_int_flag(args.faults, "faults")
-    _check_int_flag(args.seed, "seed", minimum=0)
     if args.injector == "kill-worker" and args.workers < 2:
         raise ValidationError(
             "--injector kill-worker terminates pool workers; it needs "
@@ -1241,8 +902,17 @@ def _cmd_chaos(args) -> int:
             workers=args.workers, metrics=registry, **extra
         )
 
-    n_tasks = len(SWEEP_FAILURE_RATES) * args.servers_max
-    reference = _sweep_series_text(args, _sweep_grid(args, engine=None))
+    def sweep_text(engine, journal=None) -> str:
+        grid = workloads.run_fig_sweep(
+            args.figure, args.arrival_rate, args.servers_max,
+            engine=engine, journal=journal,
+        )
+        return workloads.fig_sweep_text(
+            args.figure, args.arrival_rate, args.servers_max, grid
+        )
+
+    n_tasks = len(workloads.SWEEP_FAILURE_RATES) * args.servers_max
+    reference = sweep_text(engine=None)
     workdir = Path(tempfile.mkdtemp(prefix="repro-chaos-"))
     evidence = ""
     try:
@@ -1250,9 +920,7 @@ def _cmd_chaos(args) -> int:
             plan = plan_worker_kills(
                 n_tasks, args.seed, args.faults, str(workdir / "state")
             )
-            disturbed = _sweep_series_text(
-                args, _sweep_grid(args, engine_for(chaos=plan))
-            )
+            disturbed = sweep_text(engine_for(chaos=plan))
             fired = plan.fired()
             respawns = registry.value("engine_worker_respawns")
             recovered = fired >= 1 and respawns >= 1
@@ -1264,11 +932,8 @@ def _cmd_chaos(args) -> int:
             plan = plan_transient_faults(
                 n_tasks, args.seed, args.faults, str(workdir / "state")
             )
-            disturbed = _sweep_series_text(
-                args,
-                _sweep_grid(
-                    args, engine_for(chaos=plan, retry=TaskRetryPolicy())
-                ),
+            disturbed = sweep_text(
+                engine_for(chaos=plan, retry=TaskRetryPolicy())
             )
             fired = plan.fired()
             retries = registry.value("engine_task_retries")
@@ -1281,13 +946,11 @@ def _cmd_chaos(args) -> int:
             cache_dir = workdir / "cache"
             # Cold run seeds the on-disk cache, then damage it and make
             # a fresh engine read through the corruption.
-            _sweep_grid(args, engine_for(cache_dir=str(cache_dir)))
+            sweep_text(engine_for(cache_dir=str(cache_dir)))
             corrupted = corrupt_cache_entries(
                 cache_dir, args.seed, args.faults
             )
-            disturbed = _sweep_series_text(
-                args, _sweep_grid(args, engine_for(cache_dir=str(cache_dir)))
-            )
+            disturbed = sweep_text(engine_for(cache_dir=str(cache_dir)))
             corruptions = registry.value("engine_cache_corruptions")
             quarantined = len(list((cache_dir / "quarantine").glob("*.pkl")))
             recovered = corruptions >= len(corrupted) >= 1
@@ -1298,7 +961,7 @@ def _cmd_chaos(args) -> int:
             )
         else:  # truncate-journal
             journal_path = workdir / "sweep.jsonl"
-            _sweep_grid(args, engine_for(), journal=str(journal_path))
+            sweep_text(engine_for(), journal=str(journal_path))
             # +1: the tear must reach past the batch_end marker to cost
             # actual task results.
             truncate_journal_tail(
@@ -1308,10 +971,7 @@ def _cmd_chaos(args) -> int:
                 1 for r in read_journal(journal_path, missing_ok=True)
                 if r.get("kind") == "task_result"
             )
-            disturbed = _sweep_series_text(
-                args,
-                _sweep_grid(args, engine_for(), journal=str(journal_path)),
-            )
+            disturbed = sweep_text(engine_for(), journal=str(journal_path))
             recomputed = n_tasks - surviving
             recovered = surviving >= 1 and recomputed >= 1
             evidence = (
@@ -1335,103 +995,39 @@ def _cmd_chaos(args) -> int:
 def _cmd_policies(args) -> int:
     import time
 
-    from .engine import EvaluationEngine
-    from .workloads import (
-        default_client_policies,
-        default_farm_scenarios,
-        policy_comparison_text,
-        run_policy_comparison,
-    )
-
-    _check_workers(args.workers)
-    _check_float_flag(args.arrival_rate, "arrival-rate")
-    _check_float_flag(args.service_rate, "service-rate")
-    _check_float_flag(args.timeout, "timeout")
-    _check_float_flag(args.hedge_delay, "hedge-delay")
-    _check_float_flag(
-        args.persistence, "persistence", low=0.0, high=1.0,
-        low_inclusive=True,
-    )
-    _check_float_flag(args.breaker_reset, "breaker-reset")
-    _check_int_flag(args.servers, "servers")
-    _check_int_flag(args.buffer, "buffer")
-    _check_int_flag(args.max_retries, "max-retries", minimum=0)
-    _check_int_flag(args.breaker_threshold, "breaker-threshold")
-    cancellation, heartbeat = _runtime_context(args)
-    engine = EvaluationEngine(
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        cancellation=cancellation,
-        heartbeat=heartbeat,
-    )
-    policies = default_client_policies(
-        max_retries=args.max_retries,
-        persistence=args.persistence,
-        breaker_threshold=args.breaker_threshold,
-        breaker_reset=args.breaker_reset,
-        timeout=args.timeout,
-        hedge_delay=args.hedge_delay,
-    )
-    scenarios = default_farm_scenarios(args.servers)
+    policies = workloads.client_policies(vars(args))
+    engine = _engine(args)
     started = time.monotonic()
-    report = run_policy_comparison(
+    report = workloads.run_policy_comparison(
         arrival_rate=args.arrival_rate,
         service_rate=args.service_rate,
         servers=args.servers,
         buffer=args.buffer,
         engine=engine,
         policies=policies,
-        scenarios=scenarios,
     )
     elapsed = time.monotonic() - started
-    print(policy_comparison_text(report))
-    stats = engine.cache.stats
-    rate = f"{stats.hit_rate:.1%}" if stats.lookups else "n/a"
-    print(
-        f"engine: workers={args.workers}, {len(report.cells)} cells in "
-        f"{elapsed:.2f}s; cache hits={stats.hits} misses={stats.misses} "
-        f"hit-rate={rate}",
-        file=sys.stderr,
-    )
+    print(workloads.policy_comparison_text(report))
+    _print_engine_summary(engine, len(report.cells), elapsed)
     return 0
 
 
 def _cmd_cloud(args) -> int:
     import time
 
-    from .engine import EvaluationEngine
-    from .workloads import cloud_comparison_text, run_cloud_comparison
-
-    _check_workers(args.workers)
-    _check_float_flag(args.arrival_rate, "arrival-rate")
-    _check_float_flag(args.service_rate, "service-rate")
-    _check_float_flag(args.zone_availability, "zone-availability", high=1.0)
-    cancellation, heartbeat = _runtime_context(args)
-    engine = EvaluationEngine(
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        cancellation=cancellation,
-        heartbeat=heartbeat,
-    )
+    engine = _engine(args)
     started = time.monotonic()
-    report = run_cloud_comparison(
+    report = workloads.run_cloud_comparison(
         arrival_rate=args.arrival_rate,
         service_rate=args.service_rate,
         zone_availability=args.zone_availability,
         engine=engine,
     )
     elapsed = time.monotonic() - started
-    print(cloud_comparison_text(
+    print(workloads.cloud_comparison_text(
         report, args.arrival_rate, args.zone_availability
     ))
-    stats = engine.cache.stats
-    rate = f"{stats.hit_rate:.1%}" if stats.lookups else "n/a"
-    print(
-        f"engine: workers={args.workers}, {len(report.cells)} cells in "
-        f"{elapsed:.2f}s; cache hits={stats.hits} misses={stats.misses} "
-        f"hit-rate={rate}",
-        file=sys.stderr,
-    )
+    _print_engine_summary(engine, len(report.cells), elapsed)
     return 0
 
 
@@ -1475,24 +1071,14 @@ def _cmd_slo(args) -> int:
     from .resilience import run_campaign
     from .ta import TravelAgencyModel
 
-    _check_float_flag(args.session_rate, "session-rate")
-    _check_float_flag(args.horizon, "horizon")
-    if args.objective is not None:
-        _check_float_flag(
-            args.objective, "objective", low=0.0, high=1.0,
-            high_inclusive=False,
-        )
-    _check_float_flag(args.short_window, "short-window")
-    _check_float_flag(args.long_window, "long-window")
-    _check_float_flag(args.burn_threshold, "burn-threshold")
-    _check_int_flag(args.replications, "replications")
-    _check_int_flag(args.seed, "seed", minimum=0)
     model = TravelAgencyModel(architecture=args.architecture)
-    scenario = _fault_scenarios()[args.scenario](model.hierarchical_model)
+    scenario = workloads.fault_scenario_factories()[args.scenario](
+        model.hierarchical_model
+    )
 
     summaries = []
     alert_log = []
-    for user_class in _selected_classes(args.user_class):
+    for user_class in workloads.selected_classes(args.user_class):
         objective = (
             args.objective
             if args.objective is not None
@@ -1557,11 +1143,6 @@ def _cmd_diff(args) -> int:
         except (OSError, ValueError) as exc:
             raise ObservabilityError(f"cannot read {path!r}: {exc}")
 
-    if args.threshold is not None:
-        # Guard thresholds may legitimately be zero or negative (a
-        # "must be at least this much faster" bench), so only reject
-        # non-finite values here.
-        _check_float_flag(args.threshold, "threshold", low=None)
     old, new = load(args.old), load(args.new)
     bench_sides = [
         isinstance(doc, dict) and "benchmark" in doc for doc in (old, new)
@@ -1587,7 +1168,6 @@ def _cmd_diff(args) -> int:
 def _cmd_trace_report(args) -> int:
     from .obs.analysis import TraceAnalysis, format_trace_report
 
-    _check_int_flag(args.top, "top")
     analysis = TraceAnalysis.from_file(args.trace_file)
     print(format_trace_report(analysis, top=args.top))
     return 0
@@ -1599,13 +1179,6 @@ def _cmd_serve(args) -> int:
     from .errors import ValidationError
     from .server import ReproServer
 
-    _check_int_flag(args.port, "port", minimum=0, maximum=65535)
-    _check_int_flag(args.workers, "workers")
-    _check_int_flag(args.queue_limit, "queue-limit")
-    _check_float_flag(
-        args.slo_objective, "slo-objective", low=0.0, high=1.0,
-        high_inclusive=False,
-    )
     if args.queue_limit < args.workers:
         raise ValidationError(
             "--queue-limit is the admission capacity K (running + queued "
@@ -1760,6 +1333,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     finalize = _setup_instrumentation(args)
     try:
+        _check_args(args)
         return handlers[args.command](args)
     except ReproError as exc:
         if args.debug:

@@ -24,24 +24,19 @@ optional ``"profile": true`` spec key: the job runs under an explicit
 document (attribution report, kernel accounting, collapsed/speedscope
 flamegraph) served at ``GET /v1/jobs/<id>/profile``.
 
-Specs are validated eagerly at submission time through the repo's
-:mod:`repro._validation` helpers — a bad spec is a 400 before the job
-ever enters the queue — and execution takes the engine's standard
-cooperation points: a :class:`~repro.runtime.CancellationToken` checked
-between cells and a heartbeat callback for progress events.
+Specs are validated eagerly at submission time against the same
+:class:`~repro.workloads.Param` schemas that generate the CLI flags —
+a bad spec is a 400 naming the JSON key before the job ever enters the
+queue — and execution takes the engine's standard cooperation points:
+a :class:`~repro.runtime.CancellationToken` checked between cells and
+a heartbeat callback for progress events.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional
+from typing import Dict, Tuple
 
-from .._validation import (
-    check_in_range,
-    check_non_negative,
-    check_positive,
-    check_positive_int,
-)
 from ..errors import ValidationError
 from .. import workloads
 
@@ -50,158 +45,32 @@ __all__ = ["JOB_KINDS", "parse_spec", "execute_job"]
 #: Longest accepted probe hold, seconds (probes are test traffic).
 MAX_PROBE_HOLD = 60.0
 
+#: A server campaign defaults to a short run: a request should come
+#: back in seconds, not take the CLI's 6 x 5000 h.
+_CAMPAIGN_DEFAULTS = {"horizon": 100.0, "replications": 4}
 
-def _check_keys(spec: dict, allowed: frozenset, kind: str) -> None:
-    unknown = sorted(set(spec) - allowed)
-    if unknown:
-        raise ValidationError(
-            f"unknown {kind} spec key(s) {unknown}; allowed: "
-            f"{sorted(allowed)}"
-        )
-
-
-def _check_profile(spec: dict, kind: str) -> bool:
-    """The optional ``profile`` spec key (performance attribution)."""
-    profile = spec.get("profile", False)
-    if not isinstance(profile, bool):
-        raise ValidationError(
-            f"{kind} spec key 'profile' must be a boolean, got "
-            f"{profile!r}"
-        )
-    return profile
-
-
-def _parse_sweep(spec: dict) -> dict:
-    _check_keys(
-        spec,
-        frozenset({"figure", "arrival_rate", "servers_max", "workers",
-                   "profile"}),
-        "sweep",
-    )
-    figure = str(spec.get("figure", "11"))
-    if figure not in ("11", "12"):
-        raise ValidationError(
-            f"figure must be '11' or '12', got {figure!r}"
-        )
-    return {
-        "figure": figure,
-        "arrival_rate": check_positive(
-            spec.get("arrival_rate", 100.0), "arrival_rate"
-        ),
-        "servers_max": check_positive_int(
-            spec.get("servers_max", 10), "servers_max"
-        ),
-        "workers": check_positive_int(spec.get("workers", 1), "workers"),
-        "profile": _check_profile(spec, "sweep"),
-    }
-
-
-def _parse_policies(spec: dict) -> dict:
-    _check_keys(
-        spec,
-        frozenset({"arrival_rate", "service_rate", "servers", "buffer",
-                   "workers", "profile"}),
-        "policies",
-    )
-    return {
-        "arrival_rate": check_positive(
-            spec.get("arrival_rate", 100.0), "arrival_rate"
-        ),
-        "service_rate": check_positive(
-            spec.get("service_rate", 100.0), "service_rate"
-        ),
-        "servers": check_positive_int(spec.get("servers", 4), "servers"),
-        "buffer": check_positive_int(spec.get("buffer", 10), "buffer"),
-        "workers": check_positive_int(spec.get("workers", 1), "workers"),
-        "profile": _check_profile(spec, "policies"),
-    }
-
-
-def _parse_campaign(spec: dict) -> dict:
-    _check_keys(
-        spec,
-        frozenset({"scenario", "architecture", "user_class", "horizon",
-                   "replications", "seed", "workers"}),
-        "campaign",
-    )
-    scenario = str(spec.get("scenario", "null"))
-    if scenario not in workloads.FAULT_SCENARIOS:
-        raise ValidationError(
-            f"scenario must be one of {sorted(workloads.FAULT_SCENARIOS)}, "
-            f"got {scenario!r}"
-        )
-    architecture = str(spec.get("architecture", "redundant"))
-    if architecture not in ("basic", "redundant"):
-        raise ValidationError(
-            f"architecture must be 'basic' or 'redundant', "
-            f"got {architecture!r}"
-        )
-    user_class = str(spec.get("user_class", "both"))
-    if user_class not in ("A", "B", "both"):
-        raise ValidationError(
-            f"user_class must be 'A', 'B', or 'both', got {user_class!r}"
-        )
-    seed = spec.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
-    return {
-        "scenario": scenario,
-        "architecture": architecture,
-        "user_class": user_class,
-        "horizon": check_positive(spec.get("horizon", 100.0), "horizon"),
-        "replications": check_positive_int(
-            spec.get("replications", 4), "replications"
-        ),
-        "seed": seed,
-        "workers": check_positive_int(spec.get("workers", 1), "workers"),
-    }
-
-
-def _parse_cloud(spec: dict) -> dict:
-    _check_keys(
-        spec,
-        frozenset({"arrival_rate", "service_rate", "zone_availability",
-                   "workers", "profile"}),
-        "cloud",
-    )
-    zone = check_positive(
-        spec.get("zone_availability", 0.9995), "zone_availability"
-    )
-    check_in_range(zone, 0.0, 1.0, "zone_availability")
-    return {
-        "arrival_rate": check_positive(
-            spec.get("arrival_rate", 100.0), "arrival_rate"
-        ),
-        "service_rate": check_positive(
-            spec.get("service_rate", 100.0), "service_rate"
-        ),
-        "zone_availability": zone,
-        "workers": check_positive_int(spec.get("workers", 1), "workers"),
-        "profile": _check_profile(spec, "cloud"),
-    }
-
-
-def _parse_probe(spec: dict) -> dict:
-    _check_keys(spec, frozenset({"hold"}), "probe")
-    hold = check_non_negative(spec.get("hold", 0.0), "hold")
-    check_in_range(hold, 0.0, MAX_PROBE_HOLD, "hold")
-    return {"hold": hold}
-
-
-#: kind -> spec parser; the route table is derived from this mapping.
-JOB_KINDS: Dict[str, Callable[[dict], dict]] = {
-    "sweep": _parse_sweep,
-    "policies": _parse_policies,
-    "campaign": _parse_campaign,
-    "cloud": _parse_cloud,
-    "probe": _parse_probe,
+#: kind -> the parameters its JSON spec accepts.
+JOB_KINDS: Dict[str, Tuple[workloads.Param, ...]] = {
+    "sweep": workloads.SWEEP,
+    "policies": workloads.POLICIES,
+    "campaign": tuple(
+        p._replace(default=_CAMPAIGN_DEFAULTS.get(p.name, p.default))
+        for p in workloads.CAMPAIGN
+    ),
+    "cloud": workloads.CLOUD,
+    "probe": (
+        workloads.Param("hold", float, 0.0, low=0.0, high=MAX_PROBE_HOLD),
+    ),
 }
+
+#: The engine-backed kinds, which also accept ``"profile": true``.
+_PROFILED_KINDS = ("sweep", "policies", "cloud")
 
 
 def parse_spec(kind: str, spec: dict) -> dict:
     """Validate *spec* for *kind*; returns the normalized spec."""
     try:
-        parser = JOB_KINDS[kind]
+        params = JOB_KINDS[kind]
     except KeyError:
         raise ValidationError(
             f"unknown job kind {kind!r}; expected one of "
@@ -212,7 +81,31 @@ def parse_spec(kind: str, spec: dict) -> dict:
             f"{kind} spec must be a JSON object, got "
             f"{type(spec).__name__}"
         )
-    return parser(spec)
+    allowed = {p.name for p in params}
+    if kind in _PROFILED_KINDS:
+        allowed.add("profile")
+    unknown = sorted(set(spec) - allowed)
+    if unknown:
+        raise ValidationError(
+            f"unknown {kind} spec key(s) {unknown}; allowed: "
+            f"{sorted(allowed)}"
+        )
+    values = {
+        p.name: workloads.check_param(p, spec.get(p.name, p.default), p.name)
+        for p in params
+    }
+    if kind in _PROFILED_KINDS:
+        values["profile"] = spec.get("profile", False)
+        if not isinstance(values["profile"], bool):
+            raise ValidationError(
+                f"{kind} spec key 'profile' must be a boolean, got "
+                f"{values['profile']!r}"
+            )
+    if kind == "policies":
+        # Cross-field rules (hedge_delay < timeout) are the policies'
+        # own; building them here makes a violation a 400 too.
+        workloads.client_policies(values)
+    return values
 
 
 def _engine(spec: dict, token, progress, metrics, perf=None):
@@ -306,6 +199,7 @@ def execute_job(
             servers=spec["servers"],
             buffer=spec["buffer"],
             engine=_engine(spec, token, progress, metrics, perf=recorder),
+            policies=workloads.client_policies(spec),
         )
         best = report.best
         result = {

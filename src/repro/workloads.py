@@ -17,6 +17,12 @@ prints), so the workload definitions live here, in one place:
   (``default_cloud_scenarios`` / ``run_cloud_comparison`` /
   ``cloud_comparison_text``).
 
+The parameters of each workload are declared here too, once: the
+:class:`Param` tuples ``SWEEP``, ``POLICIES``, ``CAMPAIGN`` and
+``CLOUD`` generate both the CLI flags (``arrival_rate`` becomes
+``--arrival-rate``) and the server's JSON spec validation, and
+:func:`check_param` enforces their types and bounds for both.
+
 Everything here is importable without side effects and the work
 functions are module-level, so they stay picklable for the engine's
 process-pool backend.
@@ -25,11 +31,18 @@ process-pool backend.
 from __future__ import annotations
 
 import functools
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 __all__ = [
     "SWEEP_FAILURE_RATES",
     "FAULT_SCENARIOS",
+    "Param",
+    "check_param",
+    "SWEEP",
+    "CLIENT_POLICY",
+    "POLICIES",
+    "CAMPAIGN",
+    "CLOUD",
     "sweep_point",
     "sweep_cell_keys",
     "run_fig_sweep",
@@ -38,6 +51,7 @@ __all__ = [
     "run_fault_campaigns",
     "campaign_text",
     "default_client_policies",
+    "client_policies",
     "default_farm_scenarios",
     "run_policy_comparison",
     "policy_comparison_text",
@@ -51,6 +65,191 @@ SWEEP_FAILURE_RATES = (1e-2, 1e-3, 1e-4)
 
 #: Scenario names accepted by ``repro inject --scenario``.
 FAULT_SCENARIOS = ("null", "lan-host", "net-outage", "web-degraded")
+
+
+# -- parameter schemas -------------------------------------------------
+
+class Param(NamedTuple):
+    """One workload parameter, declared once for every front end.
+
+    ``name`` is the JSON spec key; the CLI flag is the same name with
+    dashes (:attr:`flag`).  ``low``/``high`` bound the value inclusively
+    unless ``low_open``/``high_open`` is set; ``None`` leaves a side
+    unbounded.  A ``default`` of ``None`` makes the parameter optional:
+    ``None`` then means "not given" and is not checked.
+    """
+
+    name: str
+    type: type
+    default: object = None
+    low: Optional[float] = None
+    high: Optional[float] = None
+    low_open: bool = False
+    high_open: bool = False
+    choices: Optional[Tuple[str, ...]] = None
+    help: Optional[str] = None
+    metavar: Optional[str] = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+def check_param(param: Param, value, label: str):
+    """*value* validated against *param*, failing with one line naming *label*.
+
+    The CLI passes the flag (``--workers``) as *label*, the server the
+    JSON key (``workers``), so both front ends reject the same values
+    with the same message.  Choices are compared as strings (a JSON
+    ``"figure": 11`` means ``"11"``); ints accept integral floats
+    (JSON ``2.0``); numbers reject booleans, strings, NaN and infinity.
+    Returns the value as *param*'s type.
+    """
+    import math
+
+    from .errors import ValidationError
+
+    if value is None and param.default is None:
+        return None
+    if param.choices is not None:
+        if str(value) not in param.choices:
+            raise ValidationError(
+                f"{label} must be one of {list(param.choices)}, "
+                f"got {value!r}"
+            )
+        return str(value)
+    if param.type not in (int, float):
+        return value
+    low, high = param.low, param.high
+    if param.type is int:
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        valid = isinstance(value, int) and not isinstance(value, bool)
+        if high is None:
+            expected = f"an integer >= {low}"
+        else:
+            expected = f"an integer in {low}..{high}"
+    else:
+        valid = (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+        )
+        if low is None and high is None:
+            expected = "a finite number"
+        elif high is None:
+            expected = f"a number {'>' if param.low_open else '>='} {low:g}"
+        else:
+            expected = (
+                f"a number in {'(' if param.low_open else '['}{low:g}, "
+                f"{high:g}{')' if param.high_open else ']'}"
+            )
+    if valid:
+        value = param.type(value)
+        below = low is not None and (
+            value < low or (param.low_open and value == low)
+        )
+        above = high is not None and (
+            value > high or (param.high_open and value == high)
+        )
+        valid = not (below or above)
+    if not valid:
+        raise ValidationError(f"{label} must be {expected}, got {value!r}")
+    return value
+
+
+FIGURE = Param(
+    "figure", str, "11", choices=("11", "12"),
+    help="11 = perfect coverage, 12 = coverage 0.98 with manual "
+         "reconfiguration at 12/h",
+)
+ARRIVAL_RATE = Param(
+    "arrival_rate", float, 100.0, low=0.0, low_open=True,
+    help="requests per second offered to the web farm",
+)
+SERVICE_RATE = Param(
+    "service_rate", float, 100.0, low=0.0, low_open=True,
+    help="per-server service rate (requests per second)",
+)
+SERVERS_MAX = Param(
+    "servers_max", int, 10, low=1, metavar="N", help="sweep NW over 1..N"
+)
+SERVERS = Param(
+    "servers", int, 4, low=1,
+    help="web servers in the farm (paper: NW = 4)",
+)
+BUFFER = Param(
+    "buffer", int, 10, low=1,
+    help="total capacity K of the farm queue (in service + waiting)",
+)
+TIMEOUT = Param(
+    "timeout", float, 0.05, low=0.0, low_open=True, metavar="SECONDS",
+    help="request timeout of the timeout and hedge policies",
+)
+HEDGE_DELAY = Param(
+    "hedge_delay", float, 0.02, low=0.0, low_open=True, metavar="SECONDS",
+    help="delay before the hedge policy issues its spare request",
+)
+MAX_RETRIES = Param(
+    "max_retries", int, 3, low=0,
+    help="retry budget k (0 reproduces the paper's measure)",
+)
+PERSISTENCE = Param(
+    "persistence", float, 1.0, low=0.0, high=1.0,
+    help="probability the user retries after each failure",
+)
+BREAKER_THRESHOLD = Param(
+    "breaker_threshold", int, 3, low=1,
+    help="consecutive failures that trip the circuit breaker",
+)
+BREAKER_RESET = Param(
+    "breaker_reset", float, 30.0, low=0.0, low_open=True, metavar="SECONDS",
+    help="mean open-state dwell before a recovery probe",
+)
+ZONE_AVAILABILITY = Param(
+    "zone_availability", float, 0.9995, low=0.0, high=1.0, low_open=True,
+    help="availability of each zone (the common-cause root nodes)",
+)
+SCENARIO = Param(
+    "scenario", str, "null", choices=FAULT_SCENARIOS,
+    help="fault scenario to inject (null = calibration campaign)",
+)
+ARCHITECTURE = Param(
+    "architecture", str, "redundant", choices=("basic", "redundant"),
+    help="Fig. 7 (basic) or Fig. 8 (redundant) architecture",
+)
+USER_CLASS = Param(
+    "user_class", str, "both", choices=("A", "B", "both"),
+    help="which Table 1 user class to evaluate",
+)
+HORIZON = Param(
+    "horizon", float, 5000.0, low=0.0, low_open=True,
+    help="simulated hours per replication",
+)
+REPLICATIONS = Param(
+    "replications", int, 6, low=1,
+    help="independent replications per campaign",
+)
+SEED = Param("seed", int, 0, low=0, help="random seed of the run")
+WORKERS = Param(
+    "workers", int, 1, low=1,
+    help="worker processes; output is bit-identical for any count",
+)
+
+#: The parameters of each workload kind, in CLI/spec order.
+SWEEP = (FIGURE, ARRIVAL_RATE, SERVERS_MAX, WORKERS)
+#: The policy knobs of ``default_client_policies`` (its keyword names).
+CLIENT_POLICY = (
+    TIMEOUT, HEDGE_DELAY, MAX_RETRIES, PERSISTENCE, BREAKER_THRESHOLD,
+    BREAKER_RESET,
+)
+POLICIES = (
+    (ARRIVAL_RATE, SERVICE_RATE, SERVERS, BUFFER) + CLIENT_POLICY + (WORKERS,)
+)
+CAMPAIGN = (
+    SCENARIO, ARCHITECTURE, USER_CLASS, HORIZON, REPLICATIONS, SEED, WORKERS,
+)
+CLOUD = (ARRIVAL_RATE, SERVICE_RATE, ZONE_AVAILABILITY, WORKERS)
 
 
 # -- Fig. 11/12 sensitivity grids --------------------------------------
@@ -188,12 +387,12 @@ def selected_classes(spec: str):
 
 def run_fault_campaigns(
     scenario: str,
-    architecture: str = "redundant",
-    user_class: str = "both",
-    horizon: float = 5000.0,
-    replications: int = 6,
-    seed: int = 0,
-    workers: int = 1,
+    architecture: str = ARCHITECTURE.default,
+    user_class: str = USER_CLASS.default,
+    horizon: float = HORIZON.default,
+    replications: int = REPLICATIONS.default,
+    seed: int = SEED.default,
+    workers: int = WORKERS.default,
     cancellation=None,
     heartbeat=None,
 ):
@@ -253,12 +452,12 @@ def campaign_text(
 # -- client-policy comparison ------------------------------------------
 
 def default_client_policies(
-    max_retries: int = 3,
-    persistence: float = 1.0,
-    breaker_threshold: int = 3,
-    breaker_reset: float = 30.0,
-    timeout: float = 0.05,
-    hedge_delay: float = 0.02,
+    max_retries: int = MAX_RETRIES.default,
+    persistence: float = PERSISTENCE.default,
+    breaker_threshold: int = BREAKER_THRESHOLD.default,
+    breaker_reset: float = BREAKER_RESET.default,
+    timeout: float = TIMEOUT.default,
+    hedge_delay: float = HEDGE_DELAY.default,
 ):
     """The four policies ranked by ``repro policies``, CLI defaults."""
     from .resilience import (
@@ -277,6 +476,17 @@ def default_client_policies(
         TimeoutPolicy(timeout),
         HedgePolicy(timeout, hedge_delay),
     ]
+
+
+def client_policies(values) -> list:
+    """``default_client_policies`` for a checked ``POLICIES`` mapping.
+
+    *values* maps parameter names to values: a server spec, or
+    ``vars(args)`` of ``repro policies``.
+    """
+    return default_client_policies(
+        **{p.name: values[p.name] for p in CLIENT_POLICY}
+    )
 
 
 def default_farm_scenarios(servers: int):
@@ -305,10 +515,10 @@ def default_farm_scenarios(servers: int):
 
 
 def run_policy_comparison(
-    arrival_rate: float = 100.0,
-    service_rate: float = 100.0,
-    servers: int = 4,
-    buffer: int = 10,
+    arrival_rate: float = ARRIVAL_RATE.default,
+    service_rate: float = SERVICE_RATE.default,
+    servers: int = SERVERS.default,
+    buffer: int = BUFFER.default,
     engine=None,
     policies=None,
     scenarios=None,
@@ -345,9 +555,9 @@ def policy_comparison_text(report) -> str:
 # -- cloud deployment comparison ---------------------------------------
 
 def default_cloud_scenarios(
-    arrival_rate: float = 100.0,
-    service_rate: float = 100.0,
-    zone_availability: float = 0.9995,
+    arrival_rate: float = ARRIVAL_RATE.default,
+    service_rate: float = SERVICE_RATE.default,
+    zone_availability: float = ZONE_AVAILABILITY.default,
 ):
     """The deployment alternatives ranked by ``repro cloud``.
 
@@ -388,9 +598,9 @@ def default_cloud_scenarios(
 
 
 def run_cloud_comparison(
-    arrival_rate: float = 100.0,
-    service_rate: float = 100.0,
-    zone_availability: float = 0.9995,
+    arrival_rate: float = ARRIVAL_RATE.default,
+    service_rate: float = SERVICE_RATE.default,
+    zone_availability: float = ZONE_AVAILABILITY.default,
     engine=None,
     scenarios=None,
 ):

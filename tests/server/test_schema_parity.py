@@ -1,0 +1,108 @@
+"""CLI and server validate the shared workload parameters identically.
+
+The cases are generated from the :mod:`repro.workloads` schemas, so a
+parameter added to a kind is covered on both front ends without a new
+test.
+"""
+
+import contextlib
+import io
+
+import pytest
+
+from repro import workloads
+from repro.cli import build_parser, main
+from repro.errors import ValidationError
+from repro.server import execute_job, parse_spec
+
+#: server job kind -> the CLI subcommand taking the same parameters
+KINDS = {
+    "sweep": ("sweep", workloads.SWEEP),
+    "policies": ("policies", workloads.POLICIES),
+    "campaign": ("inject", workloads.CAMPAIGN),
+    "cloud": ("cloud", workloads.CLOUD),
+}
+
+
+def out_of_range(param):
+    """A value just outside *param*'s bounds (below, else above)."""
+    if param.low is not None:
+        if param.type is float and param.low_open:
+            return param.low
+        return param.low - 1
+    return param.high + 1
+
+
+def numeric_cases(kinds=KINDS):
+    return [
+        pytest.param(kind, command, param, id=f"{kind}-{param.name}")
+        for kind, (command, params) in kinds.items()
+        for param in params
+        if param.type in (int, float)
+    ]
+
+
+@pytest.mark.parametrize("kind,command,param", numeric_cases())
+class TestBothFrontEndsRejectTheSameValues:
+    def test_out_of_range_on_the_cli(self, capsys, kind, command, param):
+        argv = [command, param.flag, str(out_of_range(param))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert param.flag in err
+
+    def test_out_of_range_in_a_spec(self, kind, command, param):
+        with pytest.raises(ValidationError) as excinfo:
+            parse_spec(kind, {param.name: out_of_range(param)})
+        assert str(excinfo.value).startswith(param.name)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_on_the_cli(
+        self, capsys, kind, command, param, value
+    ):
+        argv = [command, param.flag, value]
+        if param.type is int:
+            # argparse's type=int refuses these before validation runs.
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert param.flag in capsys.readouterr().err
+        else:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert err.count("\n") == 1
+            assert param.flag in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_in_a_spec(self, kind, command, param, value):
+        with pytest.raises(ValidationError) as excinfo:
+            parse_spec(kind, {param.name: value})
+        assert str(excinfo.value).startswith(param.name)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_cli_defaults_are_the_schema_defaults(kind):
+    command, params = KINDS[kind]
+    args = vars(build_parser().parse_args([command]))
+    assert {p.name: args[p.name] for p in params} == {
+        p.name: p.default for p in params
+    }
+    spec = parse_spec(kind, {})
+    server_only = {"campaign": {"horizon", "replications"}}.get(kind, set())
+    assert {
+        p.name: spec[p.name] for p in params if p.name not in server_only
+    } == {p.name: p.default for p in params if p.name not in server_only}
+
+
+def test_policies_job_text_matches_the_cli_with_policy_keys():
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        assert main(
+            ["policies", "--max-retries", "1", "--timeout", "0.1"]
+        ) == 0
+    spec = parse_spec("policies", {"max_retries": 1, "timeout": 0.1})
+    assert execute_job("policies", spec)["text"] + "\n" == buffer.getvalue()

@@ -49,6 +49,47 @@ class TestParseSpec:
         with pytest.raises(ValidationError):
             parse_spec("campaign", {"seed": True})
 
+    def test_campaign_seed_must_be_non_negative(self):
+        with pytest.raises(ValidationError) as excinfo:
+            parse_spec("campaign", {"seed": -3})
+        assert str(excinfo.value).startswith("seed")
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("sweep", "arrival_rate", True),
+        ("campaign", "horizon", "5"),
+        ("cloud", "zone_availability", "0.99"),
+    ])
+    def test_numeric_keys_reject_booleans_and_strings(
+        self, kind, key, value
+    ):
+        with pytest.raises(ValidationError) as excinfo:
+            parse_spec(kind, {key: value})
+        message = str(excinfo.value)
+        assert message.startswith(key)
+        assert "\n" not in message
+
+    def test_integral_floats_and_numeric_figures_stay_accepted(self):
+        spec = parse_spec("sweep", {"servers_max": 2.0, "figure": 11})
+        assert spec["servers_max"] == 2 and type(spec["servers_max"]) is int
+        assert spec["figure"] == "11"
+        assert parse_spec("sweep", {"figure": "12"})["figure"] == "12"
+
+    def test_policies_accepts_the_cli_policy_keys(self):
+        keys = {
+            "timeout": 0.1, "hedge_delay": 0.03, "max_retries": 5,
+            "persistence": 0.8, "breaker_threshold": 2,
+            "breaker_reset": 10.0,
+        }
+        spec = parse_spec("policies", keys)
+        assert {key: spec[key] for key in keys} == keys
+        assert parse_spec("policies", {})["timeout"] == 0.05
+
+    def test_policies_cross_field_rule_is_a_validation_error(self):
+        with pytest.raises(ValidationError) as excinfo:
+            parse_spec("policies", {"hedge_delay": 0.2})
+        assert "hedge_delay" in str(excinfo.value)
+        assert "unknown" not in str(excinfo.value)
+
     def test_probe_hold_bounded(self):
         assert parse_spec("probe", {"hold": 0.5}) == {"hold": 0.5}
         with pytest.raises(ValidationError):
