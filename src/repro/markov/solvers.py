@@ -97,17 +97,52 @@ def strongly_connected_components(adjacency: np.ndarray) -> List[List[int]]:
     return list(reversed(components))
 
 
+def _reaches_every_state(
+    sources: np.ndarray, targets: np.ndarray, n: int
+) -> bool:
+    """Whether state 0 reaches all *n* states along ``sources -> targets``.
+
+    *sources* must be sorted (as :func:`numpy.nonzero` returns them), so
+    each state's successors form one contiguous slice.  A depth-first
+    sweep that stops as soon as every state has been seen.
+    """
+    starts = np.searchsorted(sources, np.arange(n + 1)).tolist()
+    seen = [False] * n
+    seen[0] = True
+    unseen = n - 1
+    stack = [0]
+    while stack and unseen:
+        state = stack.pop()
+        for successor in targets[starts[state]:starts[state + 1]].tolist():
+            if not seen[successor]:
+                seen[successor] = True
+                unseen -= 1
+                stack.append(successor)
+    return not unseen
+
+
 def _require_irreducible(q: np.ndarray) -> None:
+    # Irreducible iff state 0 reaches every state and every state reaches
+    # 0 (the predicate "one strongly connected component").  The diagonal
+    # only adds self-loops, which reach nothing new.  The component pass
+    # runs only to name the transient states of a reducible chain.
+    n = q.shape[0]
+    if n == 0:
+        return
+    sources, targets = np.nonzero(q)
+    if _reaches_every_state(sources, targets, n):
+        order = np.argsort(targets, kind="stable")
+        if _reaches_every_state(targets[order], sources[order], n):
+            return
     adjacency = q.copy()
     np.fill_diagonal(adjacency, 0.0)
     components = strongly_connected_components(adjacency)
-    if len(components) > 1:
-        transient = [s for comp in components[:-1] for s in comp]
-        raise NotIrreducibleError(
-            "chain is not irreducible: a unique steady-state distribution "
-            f"does not exist ({len(components)} strongly connected components)",
-            problem_states=tuple(transient),
-        )
+    transient = [s for comp in components[:-1] for s in comp]
+    raise NotIrreducibleError(
+        "chain is not irreducible: a unique steady-state distribution "
+        f"does not exist ({len(components)} strongly connected components)",
+        problem_states=tuple(transient),
+    )
 
 
 def steady_state_gth(generator: np.ndarray) -> np.ndarray:

@@ -36,7 +36,15 @@ def mm1k_blocking_probability(rho: float, capacity: int) -> float:
     capacity = check_positive_int(capacity, "capacity")
     if abs(rho - 1.0) < 1e-12:
         return 1.0 / (capacity + 1)
-    return float(rho**capacity * (1.0 - rho) / (1.0 - rho ** (capacity + 1)))
+    try:
+        return float(
+            rho**capacity * (1.0 - rho) / (1.0 - rho ** (capacity + 1))
+        )
+    except OverflowError:
+        # rho > 1 with rho**K past the float range: divided through by
+        # rho**(K+1), only powers of 1/rho < 1 remain.
+        inverse = 1.0 / rho
+        return float((1.0 - inverse) / (1.0 - inverse ** (capacity + 1)))
 
 
 class MM1KQueue:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .._validation import check_positive_int, check_rate
 from ..errors import ValidationError
-from .birthdeath import birth_death_distribution
+from .birthdeath import _product_form
 from .metrics import QueueMetrics
 from .mm1k import mm1k_blocking_probability
 
@@ -83,6 +83,11 @@ class MMCKQueue:
     capacity:
         Total system capacity ``K >= c`` (in service + waiting).
 
+    The four parameters are validated once, here, and are read-only
+    afterwards: the state distribution is solved from them without a
+    per-element check, so a later reassignment cannot slip an unchecked
+    value into the solve (build a new queue instead).
+
     Examples
     --------
     >>> q = MMCKQueue(arrival_rate=100.0, service_rate=100.0, servers=4,
@@ -98,14 +103,34 @@ class MMCKQueue:
         servers: int,
         capacity: int,
     ):
-        self.arrival_rate = check_rate(arrival_rate, "arrival_rate")
-        self.service_rate = check_rate(service_rate, "service_rate")
-        self.servers = check_positive_int(servers, "servers")
-        self.capacity = check_positive_int(capacity, "capacity")
-        if self.capacity < self.servers:
+        self._arrival_rate = check_rate(arrival_rate, "arrival_rate")
+        self._service_rate = check_rate(service_rate, "service_rate")
+        self._servers = check_positive_int(servers, "servers")
+        self._capacity = check_positive_int(capacity, "capacity")
+        if self._capacity < self._servers:
             raise ValidationError(
                 f"capacity ({capacity}) must be >= servers ({servers})"
             )
+
+    @property
+    def arrival_rate(self) -> float:
+        """Poisson arrival rate ``alpha``."""
+        return self._arrival_rate
+
+    @property
+    def service_rate(self) -> float:
+        """Per-server exponential service rate ``nu``."""
+        return self._service_rate
+
+    @property
+    def servers(self) -> int:
+        """Number of parallel servers ``c``."""
+        return self._servers
+
+    @property
+    def capacity(self) -> int:
+        """Total system capacity ``K``."""
+        return self._capacity
 
     @property
     def offered_load(self) -> float:
@@ -120,12 +145,11 @@ class MMCKQueue:
 
     def state_distribution(self) -> np.ndarray:
         """Steady-state distribution over 0..K requests in system."""
-        births = [self.arrival_rate] * self.capacity
-        deaths = [
-            self.service_rate * min(n + 1, self.servers)
-            for n in range(self.capacity)
-        ]
-        return birth_death_distribution(births, deaths)
+        mu, c, k = self._service_rate, self._servers, self._capacity
+        births = [self._arrival_rate] * k
+        # State n + 1 drains at mu * min(n + 1, c).
+        deaths = [mu * busy for busy in range(1, c + 1)] + [mu * c] * (k - c)
+        return _product_form(births, deaths)
 
     def metrics(self) -> QueueMetrics:
         """Full steady-state metric set (via the state distribution)."""

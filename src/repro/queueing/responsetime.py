@@ -19,12 +19,30 @@ An accepted request arriving when ``n`` requests are present
 
 Survival functions use the regularized incomplete gamma function, so the
 results are exact to machine precision — no simulation or truncation.
+
+:class:`ResponseTime` compiles one loaded queue: it solves the state
+distribution once, keeps the accepted-arrival weights
+``pi_n / (1 - pK)`` with ``c`` and ``mu``, and precomputes the
+``t``-independent factors of each queued state's term (the stage counts
+and the hypoexponential's ``ratio**m``).  Each survival evaluation is
+then one array call of :func:`scipy.special.gammaincc` for the Erlang
+and hypoexponential tails of every queued state, followed by the
+weighted sum in arrival-state order.  The float expressions and the
+summation order are those of the scalar :func:`erlang_survival` /
+:func:`hypoexponential_survival` terms, so the results are the same to
+the bit (``tests/queueing/test_library_identity.py`` pins the scalar
+and array incomplete-gamma calls against each other).  The powers stay
+Python ``float ** int``: NumPy's ``power`` does not round the same way.
+:func:`response_time_survival`, :func:`waiting_time_survival`,
+:func:`mean_conditional_response_time` and
+:func:`response_time_quantile` are thin wrappers over it.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy import optimize, special
 
 from .._validation import check_non_negative, check_positive_int, check_rate
@@ -32,6 +50,7 @@ from ..errors import SolverError, ValidationError
 from .mmck import MMCKQueue
 
 __all__ = [
+    "ResponseTime",
     "erlang_survival",
     "erlang_cdf",
     "hypoexponential_survival",
@@ -127,6 +146,125 @@ def _hypoexp_survival_by_stages(
     return float(1.0 - dist[-1])
 
 
+class ResponseTime:
+    """The accepted-request sojourn-time law of one M/M/c/K queue.
+
+    Built once per loaded queue, then evaluated at as many ``t`` as a
+    caller needs; see the module docstring for what is compiled.
+    Raises :class:`ValidationError` when the queue accepts no requests
+    (``pK = 1``).
+
+    Examples
+    --------
+    >>> law = ResponseTime(MMCKQueue(arrival_rate=50.0, service_rate=100.0,
+    ...                              servers=2, capacity=6))
+    >>> law.survival(0.0)
+    1.0
+    >>> law.waiting(0.01) < law.survival(0.01)
+    True
+    """
+
+    def __init__(self, queue: MMCKQueue):
+        dist = queue.state_distribution()
+        accepted = 1.0 - float(dist[-1])
+        if accepted <= 0.0:
+            raise ValidationError("the queue accepts no requests (pK = 1)")
+        c, mu = queue.servers, queue.service_rate
+        queued = queue.capacity - c
+        self.servers = c
+        self.service_rate = mu
+        #: Arrival-state weights ``pi_n / (1 - pK)``, ``n = 0 .. K-1``.
+        self.weights = [p / accepted for p in dist[:-1].tolist()]
+        #: Waiting stages ``m = n - c + 1`` of the queued states ``n >= c``,
+        #: each an ``Exp(c mu)`` departure.
+        self._stages = np.arange(1, queued + 1)
+        self._stage_rate = c * mu
+        if queued:
+            check_rate(self._stage_rate, "stage_rate")
+        if c == 1:
+            # The wait and the service merge into Erlang(n + 1, mu).
+            self._merged_stages = self._stages + 1
+        else:
+            # Erlang(m, c mu) + Exp(mu): the closed form of
+            # hypoexponential_survival with stage_rate > final_rate.
+            self._gap = self._stage_rate - mu
+            ratio = self._stage_rate / self._gap
+            self._powers = [ratio**m for m in range(1, queued + 1)]
+
+    def survival(self, t: float) -> float:
+        """``P(T > t)``, waiting plus service: :func:`response_time_survival`."""
+        t = check_non_negative(t, "t")
+        if t == 0.0:
+            return self._mix([1.0] * len(self.weights))
+        mu = self.service_rate
+        served = math.exp(-mu * t)  # no wait: one Exp(mu) service
+        if self.servers == 1:
+            queued = special.gammaincc(self._merged_stages, mu * t).tolist()
+        else:
+            tails, rests = special.gammaincc(
+                self._stages, [[self._stage_rate * t], [self._gap * t]]
+            ).tolist()
+            queued = [
+                min(1.0, tail + served * power * (1.0 - rest))
+                for tail, power, rest in zip(tails, self._powers, rests)
+            ]
+        return self._mix([served] * self.servers + queued)
+
+    def waiting(self, t: float) -> float:
+        """``P(W > t)``: :func:`waiting_time_survival`."""
+        t = check_non_negative(t, "t")
+        idle = [0.0] * self.servers  # W = 0 exactly (atom at zero)
+        if t == 0.0:
+            return self._mix(idle + [1.0] * len(self._stages))
+        tails = special.gammaincc(self._stages, self._stage_rate * t)
+        return self._mix(idle + tails.tolist())
+
+    def mean(self) -> float:
+        """``E[T]``: :func:`mean_conditional_response_time`."""
+        c, mu = self.servers, self.service_rate
+        total = 0.0
+        for n, weight in enumerate(self.weights):
+            wait_stages = max(0, n - c + 1)
+            total += weight * (wait_stages / (c * mu) + 1.0 / mu)
+        return total
+
+    def quantile(self, probability: float) -> float:
+        """The *probability*-quantile of ``T``: :func:`response_time_quantile`."""
+        if not isinstance(probability, (int, float)) or isinstance(
+            probability, bool
+        ):
+            raise ValidationError(
+                f"probability must be a number in (0, 1), got {probability!r}"
+            )
+        probability = float(probability)
+        if math.isnan(probability) or not 0.0 < probability < 1.0:
+            raise ValidationError(
+                "probability must be strictly inside the open interval "
+                f"(0, 1), got {probability!r}"
+            )
+        target = 1.0 - probability
+
+        def objective(t: float) -> float:
+            return self.survival(t) - target
+
+        # Bracket: the mean times a growing factor bounds any quantile.
+        upper = self.mean()
+        for _ in range(200):
+            if objective(upper) < 0:
+                break
+            upper *= 2.0
+        else:
+            raise SolverError("failed to bracket the response-time quantile")
+        return float(optimize.brentq(objective, 0.0, upper, xtol=1e-12))
+
+    def _mix(self, survivals) -> float:
+        """The arrival-state mixture, summed in state order."""
+        total = 0.0
+        for weight, survival in zip(self.weights, survivals):
+            total += weight * survival
+        return min(1.0, total)
+
+
 def waiting_time_survival(queue: MMCKQueue, t: float) -> float:
     """``P(W > t)`` for an *accepted* request (FCFS).
 
@@ -140,22 +278,7 @@ def waiting_time_survival(queue: MMCKQueue, t: float) -> float:
     >>> waiting_time_survival(q, 0.0) < 0.5   # most arrivals find it idle
     True
     """
-    t = check_non_negative(t, "t")
-    dist = queue.state_distribution()
-    blocking = float(dist[-1])
-    accepted = 1.0 - blocking
-    if accepted <= 0.0:
-        raise ValidationError("the queue accepts no requests (pK = 1)")
-    c, mu = queue.servers, queue.service_rate
-    total = 0.0
-    for n in range(queue.capacity):  # arrival states 0 .. K-1
-        weight = float(dist[n]) / accepted
-        if n < c:
-            survival = 0.0  # W = 0 exactly (atom at zero)
-        else:
-            survival = erlang_survival(n - c + 1, c * mu, t)
-        total += weight * survival
-    return min(1.0, total)
+    return ResponseTime(queue).waiting(t)
 
 
 def response_time_survival(queue: MMCKQueue, t: float) -> float:
@@ -172,24 +295,7 @@ def response_time_survival(queue: MMCKQueue, t: float) -> float:
     >>> response_time_survival(q, 0.02) > math.exp(-100.0 * 0.02)
     True
     """
-    t = check_non_negative(t, "t")
-    dist = queue.state_distribution()
-    blocking = float(dist[-1])
-    accepted = 1.0 - blocking
-    if accepted <= 0.0:
-        raise ValidationError("the queue accepts no requests (pK = 1)")
-    c, mu = queue.servers, queue.service_rate
-    total = 0.0
-    for n in range(queue.capacity):
-        weight = float(dist[n]) / accepted
-        if n < c:
-            survival = math.exp(-mu * t)
-        elif c == 1:
-            survival = erlang_survival(n + 1, mu, t)
-        else:
-            survival = hypoexponential_survival(n - c + 1, c * mu, mu, t)
-        total += weight * survival
-    return min(1.0, total)
+    return ResponseTime(queue).survival(t)
 
 
 def mean_conditional_response_time(queue: MMCKQueue) -> float:
@@ -199,18 +305,7 @@ def mean_conditional_response_time(queue: MMCKQueue) -> float:
     the mean of the arrival-state mixture must equal
     ``L / lambda_eff``.
     """
-    dist = queue.state_distribution()
-    blocking = float(dist[-1])
-    accepted = 1.0 - blocking
-    if accepted <= 0.0:
-        raise ValidationError("the queue accepts no requests (pK = 1)")
-    c, mu = queue.servers, queue.service_rate
-    total = 0.0
-    for n in range(queue.capacity):
-        weight = float(dist[n]) / accepted
-        wait_stages = max(0, n - c + 1)
-        total += weight * (wait_stages / (c * mu) + 1.0 / mu)
-    return total
+    return ResponseTime(queue).mean()
 
 
 def response_time_quantile(queue: MMCKQueue, probability: float) -> float:
@@ -221,27 +316,4 @@ def response_time_quantile(queue: MMCKQueue, probability: float) -> float:
     lie strictly inside (0, 1): the response time of an accepted request
     has unbounded support, so the 0- and 1-quantiles are degenerate.
     """
-    if not isinstance(probability, (int, float)) or isinstance(probability, bool):
-        raise ValidationError(
-            f"probability must be a number in (0, 1), got {probability!r}"
-        )
-    probability = float(probability)
-    if math.isnan(probability) or not 0.0 < probability < 1.0:
-        raise ValidationError(
-            "probability must be strictly inside the open interval (0, 1), "
-            f"got {probability!r}"
-        )
-    target = 1.0 - probability
-
-    def objective(t: float) -> float:
-        return response_time_survival(queue, t) - target
-
-    # Bracket: the mean times a growing factor bounds any quantile.
-    upper = mean_conditional_response_time(queue)
-    for _ in range(200):
-        if objective(upper) < 0:
-            break
-        upper *= 2.0
-    else:
-        raise SolverError("failed to bracket the response-time quantile")
-    return float(optimize.brentq(objective, 0.0, upper, xtol=1e-12))
+    return ResponseTime(queue).quantile(probability)

@@ -65,6 +65,7 @@ from .._validation import (
 from ..errors import SolverError, ValidationError
 from ..markov.builder import CTMCBuilder
 from ..queueing.mmck import MMCKQueue
+from ..queueing.responsetime import ResponseTime
 from .retry import RetryPolicy, session_outcome
 
 __all__ = [
@@ -383,13 +384,11 @@ class RequestPolicyResult:
         )
 
 
-def _timely(queue: MMCKQueue, t: float) -> float:
+def _timely(law: ResponseTime, t: float) -> float:
     """``P(T <= t)`` for an accepted request (0 at or below t = 0)."""
-    from ..queueing.responsetime import response_time_survival
-
     if t <= 0.0:
         return 0.0
-    return 1.0 - response_time_survival(queue, t)
+    return 1.0 - law.survival(t)
 
 
 def request_policy_availability(
@@ -454,7 +453,7 @@ def request_policy_availability(
     check_positive_int(max_iterations, "max_iterations")
     if isinstance(policy, TimeoutPolicy):
         blocking = queue.blocking_probability()
-        timely = _timely(queue, policy.timeout)
+        timely = _timely(ResponseTime(queue), policy.timeout)
         return RequestPolicyResult(
             availability=m * (1.0 - blocking) * timely,
             blocking_probability=blocking,
@@ -489,7 +488,9 @@ def request_policy_availability(
     for iterations in range(1, max_iterations + 1):
         q = loaded(rate)
         blocking = q.blocking_probability()
-        hedge_p = blocking + (1.0 - blocking) * (1.0 - _timely(q, delay))
+        hedge_p = blocking + (1.0 - blocking) * (
+            1.0 - _timely(ResponseTime(q), delay)
+        )
         next_rate = offered * (1.0 + hedge_p)
         if abs(next_rate - rate) <= tol * offered:
             rate = next_rate
@@ -502,10 +503,11 @@ def request_policy_availability(
         )
     q = loaded(rate)
     blocking = q.blocking_probability()
-    f_tau = _timely(q, tau)
+    law = ResponseTime(q)
+    f_tau = _timely(law, tau)
     s_tau = 1.0 - f_tau
-    s_delay = 1.0 - _timely(q, delay)
-    f_gap = _timely(q, tau - delay)
+    s_delay = 1.0 - _timely(law, delay)
+    f_gap = _timely(law, tau - delay)
     accepted = 1.0 - blocking
     # Condition on the original: rejected (spare immediately), done
     # before the hedge fires, or racing the spare.

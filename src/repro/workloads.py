@@ -171,15 +171,20 @@ SERVICE_RATE = Param(
     "service_rate", float, 100.0, low=0.0, low_open=True,
     help="per-server service rate (requests per second)",
 )
+# Upper bounds on sizes keep one untrusted spec from pinning a server
+# worker: each bounds a recurrence length, a generator's dimension or a
+# process count (docs/SERVER.md records the worst accepted job's time).
+#: The Fig. 11/12 grids fix K = 10, so NW cannot exceed 10.
 SERVERS_MAX = Param(
-    "servers_max", int, 10, low=1, metavar="N", help="sweep NW over 1..N"
+    "servers_max", int, 10, low=1, high=10, metavar="N",
+    help="sweep NW over 1..N",
 )
 SERVERS = Param(
-    "servers", int, 4, low=1,
+    "servers", int, 4, low=1, high=64,
     help="web servers in the farm (paper: NW = 4)",
 )
 BUFFER = Param(
-    "buffer", int, 10, low=1,
+    "buffer", int, 10, low=1, high=1000,
     help="total capacity K of the farm queue (in service + waiting)",
 )
 TIMEOUT = Param(
@@ -199,7 +204,7 @@ PERSISTENCE = Param(
     help="probability the user retries after each failure",
 )
 BREAKER_THRESHOLD = Param(
-    "breaker_threshold", int, 3, low=1,
+    "breaker_threshold", int, 3, low=1, high=100,
     help="consecutive failures that trip the circuit breaker",
 )
 BREAKER_RESET = Param(
@@ -232,7 +237,7 @@ REPLICATIONS = Param(
 )
 SEED = Param("seed", int, 0, low=0, help="random seed of the run")
 WORKERS = Param(
-    "workers", int, 1, low=1,
+    "workers", int, 1, low=1, high=32,
     help="worker processes; output is bit-identical for any count",
 )
 

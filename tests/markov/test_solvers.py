@@ -274,3 +274,52 @@ class TestSCC:
     def test_single_component(self):
         adjacency = np.array([[0, 1], [1, 0]], dtype=float)
         assert len(strongly_connected_components(adjacency)) == 1
+
+
+class TestIrreducibilityCheck:
+    """The reachability sweep decides exactly what the component pass does."""
+
+    @staticmethod
+    def random_generator(rng, n, density):
+        rates = rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < density)
+        np.fill_diagonal(rates, 0.0)
+        np.fill_diagonal(rates, -rates.sum(axis=1))
+        return rates
+
+    def test_agrees_with_the_components_on_random_chains(self):
+        from repro.markov.solvers import _require_irreducible
+
+        rng = np.random.default_rng(16)
+        verdicts = set()
+        for _ in range(400):
+            n = int(rng.integers(1, 13))
+            q = self.random_generator(rng, n, rng.uniform(0.05, 0.6))
+            off = q.copy()
+            np.fill_diagonal(off, 0.0)
+            components = strongly_connected_components(off)
+            try:
+                _require_irreducible(q)
+                verdict = True
+            except NotIrreducibleError as exc:
+                verdict = False
+                assert exc.problem_states == tuple(
+                    s for comp in components[:-1] for s in comp
+                )
+            assert verdict == (len(components) == 1)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_a_state_that_cannot_return_is_reducible(self):
+        # 0 reaches every state, but 2 is absorbing.
+        q = np.array([[-2.0, 1.0, 1.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(NotIrreducibleError) as excinfo:
+            steady_state(q)
+        assert excinfo.value.problem_states == (0, 1)
+
+    def test_components_run_only_on_the_failure_path(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.markov.solvers.strongly_connected_components",
+            lambda adjacency: pytest.fail("component pass on a good chain"),
+        )
+        pi = steady_state(two_state_generator(0.2, 1.0))
+        assert pi == pytest.approx([1.0 / 1.2, 0.2 / 1.2])

@@ -8,6 +8,26 @@ from repro.queueing import birth_death_distribution
 
 
 class TestBirthDeathDistribution:
+    def test_weights_past_the_float_range(self):
+        # The running product (2500^100) overflows; the log-space redo
+        # keeps the distribution finite and normalized.
+        from repro.queueing import MMCKQueue
+
+        queue = MMCKQueue(1e6, 100.0, 4, 100)
+        dist = queue.state_distribution()
+        assert np.all(np.isfinite(dist))
+        assert dist.sum() == pytest.approx(1.0)
+        assert dist[-1] == pytest.approx(
+            queue.blocking_probability(), rel=1e-12
+        )
+        # A peak weight past 1e300 whose sum still fits sums as usual.
+        near = birth_death_distribution([1e301], [1.0])
+        assert near == pytest.approx([1e-301, 1.0])
+        extreme = birth_death_distribution(
+            [1e200, 1e200, 0.0], [1e-100, 1e-100, 1.0]
+        )
+        assert extreme == pytest.approx([0.0, 1e-300, 1.0, 0.0])
+
     def test_two_state_closed_form(self):
         dist = birth_death_distribution([2.0], [3.0])
         assert dist == pytest.approx([0.6, 0.4])

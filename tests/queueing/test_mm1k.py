@@ -14,6 +14,11 @@ class TestBlockingFormula:
         expected = rho**k * (1 - rho) / (1 - rho ** (k + 1))
         assert mm1k_blocking_probability(rho, k) == pytest.approx(expected)
 
+    def test_overload_past_the_float_range(self):
+        # rho**K overflows a float; the limit pK -> 1 - 1/rho holds.
+        assert mm1k_blocking_probability(3.0, 1000) == pytest.approx(2.0 / 3.0)
+        assert mm1k_blocking_probability(1e4, 100) == pytest.approx(0.9999)
+
     def test_critical_load_limit(self):
         # At rho = 1 the formula degenerates to 1 / (K + 1) by continuity.
         assert mm1k_blocking_probability(1.0, 10) == pytest.approx(1.0 / 11.0)

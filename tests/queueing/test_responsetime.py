@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.queueing import MMCKQueue
 from repro.queueing.responsetime import (
+    ResponseTime,
     erlang_cdf,
     erlang_survival,
     hypoexponential_survival,
@@ -205,3 +206,126 @@ class TestQuantile:
     def test_survival_rejects_negative_time(self, single_server):
         with pytest.raises(ValidationError, match="t"):
             response_time_survival(single_server, -1e-9)
+
+
+def _scalar_survival(queue, t):
+    """The per-term reference: one validated scalar call per state."""
+    dist = queue.state_distribution()
+    accepted = 1.0 - float(dist[-1])
+    c, mu = queue.servers, queue.service_rate
+    total = 0.0
+    for n in range(queue.capacity):
+        weight = float(dist[n]) / accepted
+        if n < c:
+            survival = math.exp(-mu * t)
+        elif c == 1:
+            survival = erlang_survival(n + 1, mu, t)
+        else:
+            survival = hypoexponential_survival(n - c + 1, c * mu, mu, t)
+        total += weight * survival
+    return min(1.0, total)
+
+
+def _scalar_waiting(queue, t):
+    dist = queue.state_distribution()
+    accepted = 1.0 - float(dist[-1])
+    c, mu = queue.servers, queue.service_rate
+    total = 0.0
+    for n in range(queue.capacity):
+        weight = float(dist[n]) / accepted
+        survival = 0.0 if n < c else erlang_survival(n - c + 1, c * mu, t)
+        total += weight * survival
+    return min(1.0, total)
+
+
+class TestCompiledResponseTime:
+    @pytest.mark.parametrize(
+        "servers,capacity", [(1, 1), (1, 5), (2, 2), (2, 6), (4, 10), (8, 20)]
+    )
+    @pytest.mark.parametrize("rate", [0.5, 60.0, 175.0, 900.0])
+    def test_equals_the_scalar_terms_bit_for_bit(
+        self, servers, capacity, rate
+    ):
+        queue = MMCKQueue(rate, 100.0, servers, capacity)
+        law = ResponseTime(queue)
+        for t in (0.0, 1e-7, 0.004, 0.02, 0.05, 0.3, 5.0):
+            assert law.survival(t).hex() == _scalar_survival(queue, t).hex()
+            assert law.waiting(t).hex() == _scalar_waiting(queue, t).hex()
+
+    def test_equals_the_scalar_terms_on_random_queues(self):
+        rng = np.random.default_rng(16)
+        for _ in range(300):
+            servers = int(rng.integers(1, 12))
+            capacity = servers + int(rng.integers(0, 25))
+            queue = MMCKQueue(
+                float(rng.uniform(1.0, 400.0)), float(rng.uniform(20.0, 200.0)),
+                servers, capacity,
+            )
+            law = ResponseTime(queue)
+            t = float(rng.uniform(0.0, 0.2))
+            assert law.survival(t).hex() == _scalar_survival(queue, t).hex()
+            assert law.waiting(t).hex() == _scalar_waiting(queue, t).hex()
+
+    def test_one_solve_serves_every_t(self, monkeypatch):
+        queue = MMCKQueue(90.0, 100.0, 2, 6)
+        law = ResponseTime(queue)
+        monkeypatch.setattr(
+            MMCKQueue, "state_distribution",
+            lambda self: pytest.fail("re-solved the state distribution"),
+        )
+        law.survival(0.01), law.survival(0.05), law.waiting(0.02)
+        law.quantile(0.99)
+
+    def test_rejects_negative_and_non_finite_time(self):
+        law = ResponseTime(MMCKQueue(50.0, 100.0, 2, 6))
+        for t in (-1e-9, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="t"):
+                law.survival(t)
+            with pytest.raises(ValidationError, match="t"):
+                law.waiting(t)
+
+
+class TestQueueParametersReachTheKernelChecked:
+    """The state distribution is solved without per-element checks, so
+    every value it sees must have passed the constructor's."""
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("arrival_rate", -1.0), ("service_rate", float("nan")),
+         ("servers", 0), ("capacity", 10_000_000)],
+    )
+    def test_parameters_are_read_only(self, name, value):
+        queue = MMCKQueue(50.0, 100.0, 2, 6)
+        with pytest.raises(AttributeError):
+            setattr(queue, name, value)
+        assert (queue.arrival_rate, queue.service_rate, queue.servers,
+                queue.capacity) == (50.0, 100.0, 2, 6)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(arrival_rate=float("nan")), dict(arrival_rate=-1.0),
+         dict(service_rate=0.0), dict(service_rate=float("inf")),
+         dict(servers=0), dict(capacity=1)],
+    )
+    def test_invalid_rates_fail_before_any_solve(self, monkeypatch, kwargs):
+        monkeypatch.setattr(
+            "repro.queueing.mmck._product_form",
+            lambda births, deaths: pytest.fail("kernel reached"),
+        )
+        spec = dict(arrival_rate=50.0, service_rate=100.0, servers=2,
+                    capacity=6)
+        spec.update(kwargs)
+        with pytest.raises(ValidationError):
+            ResponseTime(MMCKQueue(**spec))
+
+    def test_birth_death_validates_before_the_kernel(self, monkeypatch):
+        from repro.queueing import birth_death_distribution
+
+        monkeypatch.setattr(
+            "repro.queueing.birthdeath._product_form",
+            lambda births, deaths: pytest.fail("kernel reached"),
+        )
+        with pytest.raises(ValidationError, match=r"death_rates\[1\]"):
+            birth_death_distribution([1.0, 1.0], [1.0, float("nan")])
+        with pytest.raises(ValidationError, match=r"birth_rates\[0\]"):
+            birth_death_distribution([-1.0], [1.0])

@@ -450,3 +450,16 @@ class TestClientPolicyTask:
             arrival_rate=100.0, service_rate=100.0, capacity=10,
         )
         assert a.key == b.key
+
+
+def test_the_largest_accepted_farm_evaluates():
+    # buffer at its schema bound with one server: the hedge drives the
+    # critical farm far past rho = 1, where rho**K leaves the float range.
+    from repro import workloads
+
+    report = workloads.run_policy_comparison(
+        servers=1, buffer=workloads.BUFFER.high
+    )
+    for cell in report.cells:
+        assert 0.0 <= cell.availability <= 1.0
+        assert all(math.isfinite(value) for _, value in cell.detail)

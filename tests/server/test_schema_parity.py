@@ -12,6 +12,7 @@ import pytest
 
 from repro import workloads
 from repro.cli import build_parser, main
+from repro.engine import EvaluationEngine
 from repro.errors import ValidationError
 from repro.server import execute_job, parse_spec
 
@@ -31,6 +32,22 @@ def out_of_range(param):
             return param.low
         return param.low - 1
     return param.high + 1
+
+
+def above_range(param):
+    """A value just above *param*'s upper bound."""
+    if param.high_open:
+        return param.high
+    return param.high + 1
+
+
+def upper_bound_cases(kinds=KINDS):
+    return [
+        pytest.param(kind, command, param, id=f"{kind}-{param.name}")
+        for kind, (command, params) in kinds.items()
+        for param in params
+        if param.type in (int, float) and param.high is not None
+    ]
 
 
 def numeric_cases(kinds=KINDS):
@@ -80,6 +97,38 @@ class TestBothFrontEndsRejectTheSameValues:
         with pytest.raises(ValidationError) as excinfo:
             parse_spec(kind, {param.name: value})
         assert str(excinfo.value).startswith(param.name)
+
+
+@pytest.mark.parametrize("kind,command,param", upper_bound_cases())
+def test_both_front_ends_reject_above_the_upper_bound_before_any_work(
+    monkeypatch, capsys, kind, command, param
+):
+    def no_work(*args, **kwargs):
+        pytest.fail(f"{param.name}={above_range(param)} reached an engine")
+
+    monkeypatch.setattr(EvaluationEngine, "__init__", no_work)
+    monkeypatch.setattr("repro.engine.executor.ProcessPoolExecutor", no_work)
+    value = above_range(param)
+    assert main([command, param.flag, str(value)]) == 2
+    err = capsys.readouterr().err
+    with pytest.raises(ValidationError) as excinfo:
+        parse_spec(kind, {param.name: value})
+    message = str(excinfo.value)
+    assert message.startswith(param.name)
+    assert err == f"error: {param.flag}{message[len(param.name):]}\n"
+    # The bound itself is accepted.
+    if not param.high_open:
+        assert parse_spec(kind, {param.name: param.high})[param.name] == (
+            param.high
+        )
+
+
+def test_every_size_parameter_has_an_upper_bound():
+    for param in (
+        workloads.SERVERS, workloads.BUFFER, workloads.BREAKER_THRESHOLD,
+        workloads.SERVERS_MAX, workloads.WORKERS,
+    ):
+        assert param.high is not None, param.name
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
