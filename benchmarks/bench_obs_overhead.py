@@ -175,6 +175,7 @@ def test_disabled_mode_overhead_within_budget(benchmark):
         # cost is the price of asking for data, not a regression.
         "guarded": ["disabled_overhead"],
         "guard_enforced": bool(os.environ.get("REPRO_OBS_GUARD")),
+        "nproc": os.cpu_count(),
     }
     out_dir = Path(__file__).parent / "artifacts"
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -2,13 +2,17 @@
 
 :mod:`repro.obs.perf` makes two promises this bench turns into numbers:
 
-1. **Pay-for-use.**  The kernel accounting and counter profiler are
-   bound at :class:`~repro.sim.Simulator` construction, exactly like
-   the metrics step — a run with no :class:`~repro.obs.PerfRecorder`
-   active executes the untouched ``_step_fast``.  The bench measures
-   the real disabled kernel against a bare pre-instrumentation replica
-   (imported from ``bench_obs_overhead``) and guards the paired-ratio
-   overhead at ``<= 3%`` when ``REPRO_OBS_GUARD`` is set.
+1. **Pay-for-use.**  :class:`~repro.sim.Simulator` binds its step at
+   construction: a run with neither a registry nor a
+   :class:`~repro.obs.PerfRecorder` active executes the untouched
+   ``_step_fast``, and any instrumentation binds the one
+   ``_step_observed`` (one clock pair per event, shared by metrics and
+   kernel accounting).  The bench measures the real disabled kernel
+   against a bare pre-instrumentation replica (imported from
+   ``bench_obs_overhead``) and guards the paired-ratio overhead at
+   ``<= 3%`` when ``REPRO_OBS_GUARD`` is set.  The ``profiled``
+   variant times ``_step_observed`` under a recorder; it is reported,
+   never asserted.
 
 2. **Coverage.**  An :class:`~repro.obs.AttributionReport` decomposes a
    batch's capacity (``slots x elapsed``) into compute, serialization,
@@ -148,6 +152,7 @@ def test_perf_attribution_overhead_and_coverage(benchmark):
         # else (including the machine-dependent shares) is evidence.
         "guarded": ["disabled_overhead"],
         "guard_enforced": bool(os.environ.get("REPRO_OBS_GUARD")),
+        "nproc": os.cpu_count(),
     }
     out_dir = Path(__file__).parent / "artifacts"
     out_dir.mkdir(parents=True, exist_ok=True)

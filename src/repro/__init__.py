@@ -53,8 +53,9 @@ Package map
 ``repro.obs``
     Observability: metrics registry with OpenMetrics exposition and
     order-invariant merging, span tracing in Chrome trace-event format
-    with cross-process propagation, and a profiling harness — near-zero
-    overhead when disabled.
+    with cross-process propagation, and performance attribution with a
+    deterministic flamegraph profiler — near-zero overhead when
+    disabled.
 ``repro.reporting``
     Downtime conversions and table formatting for the benches.
 """

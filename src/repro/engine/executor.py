@@ -223,16 +223,23 @@ class GraphResult:
 def _timed_call(
     metrics: Optional["MetricsRegistry"],
     tracer: Optional["Tracer"],
+    perf: Optional["PerfRecorder"],
     phase: str,
     fn: Callable[..., Any],
     args: Tuple[Any, ...],
     **attrs: Any,
-) -> Tuple[Any, float]:
-    """Run one task as an ``engine task``: spanned and latency-timed.
+) -> Tuple[Any, Optional[float], float]:
+    """Run one task as an ``engine task``: the one place it is observed.
 
-    Shared by the in-process loop and pool workers.  Returns
-    ``(value, seconds)``.
+    Shared by the in-process loop and pool workers.  One clock pair
+    times the call; that duration feeds ``engine_task_seconds`` and,
+    with a perf recorder, the batch's execute window, whose wall start
+    is read only then.  The recorder's profiler ticks once the task has
+    returned, so a retried task counts once, for its successful attempt.
+    Returns ``(value, wall_start, seconds)``; *wall_start* is None
+    without a recorder.
     """
+    wall_start = walltime() if perf is not None else None
     started = monotonic()
     if tracer is not None:
         with tracer.span("engine task", category="engine", phase=phase,
@@ -247,7 +254,9 @@ def _timed_call(
             help="Wall-clock latency of engine-executed tasks.",
             phase=phase,
         ).observe(duration)
-    return value, duration
+    if perf is not None:
+        perf.profiler.tick_task(leaf=f"task:{phase}")
+    return value, wall_start, duration
 
 
 def _worker_call(
@@ -294,10 +303,10 @@ def _worker_call(
         from ..obs.perf import PerfRecorder
 
         recorder = PerfRecorder()
-        recorder.profiler.tick_task(leaf=f"task:{phase}")
     with instrumented(metrics=registry, tracer=tracer, perf=recorder):
-        wall_start = walltime()
-        value, duration = _timed_call(registry, tracer, phase, fn, args)
+        value, wall_start, duration = _timed_call(
+            registry, tracer, recorder, phase, fn, args
+        )
     payload = tracer.payload() if tracer is not None else None
     record = None
     if recorder is not None:
@@ -491,22 +500,24 @@ class EvaluationEngine:
         phase: str,
         counters: _RunCounters,
         attrs: Dict[str, Any],
-    ) -> Tuple[Any, int]:
+    ) -> Tuple[Any, int, Optional[float], float]:
         """Run task *index* in-process under the retry policy.
 
-        Returns ``(value, attempts)``.  Chaos injections (when a plan is
-        attached) fire before each attempt, exactly as they do inside
-        pool workers.
+        Returns ``(value, attempts, wall_start, seconds)``, the last two
+        from :func:`_timed_call` for the successful attempt.  Chaos
+        injections (when a plan is attached) fire before each attempt,
+        exactly as they do inside pool workers.
         """
         attempt = 1
         while True:
             try:
                 if self.chaos is not None:
                     self.chaos.before_task(index, in_worker=False)
-                value, _ = _timed_call(
-                    self._metrics, self._tracer, phase, fn, args, **attrs
+                value, wall_start, duration = _timed_call(
+                    self._metrics, self._tracer, self._perf, phase, fn,
+                    args, **attrs
                 )
-                return value, attempt
+                return value, attempt, wall_start, duration
             except BaseException as exc:
                 self._retry_or_raise(exc, attempt, counters)
                 attempt += 1
@@ -776,24 +787,23 @@ class EvaluationEngine:
                 self._beat(phase, done, total,
                            "" if names is None else names[index])
 
+            # Attribution counts the slots that actually ran: one for the
+            # in-process loop, the pool's size otherwise.
             if self.workers == 1 or len(pending) <= 1:
+                slots = 1
                 for index in pending:
                     self._check()
-                    if bperf is not None:
-                        self._perf.profiler.tick_task(leaf=f"task:{phase}")
-                        wall_start = walltime()
-                        exec_started = monotonic()
-                    value, attempts = self._call_serial(
-                        index, tasks[index].fn, args_of(index), phase,
-                        counters, attrs_of(index),
+                    value, attempts, wall_start, duration = (
+                        self._call_serial(
+                            index, tasks[index].fn, args_of(index), phase,
+                            counters, attrs_of(index),
+                        )
                     )
                     if bperf is not None:
-                        bperf.task_executed(
-                            os.getpid(), wall_start,
-                            monotonic() - exec_started,
-                        )
+                        bperf.task_executed(os.getpid(), wall_start, duration)
                     complete(index, value, attempts)
             else:
+                slots = min(self.workers, len(pending))
                 self._run_pool(tasks, pending, args_of, attrs_of, complete,
                                phase, counters, bperf)
 
@@ -807,7 +817,7 @@ class EvaluationEngine:
                 journal.close()
 
         if bperf is not None:
-            bperf.finish()
+            bperf.finish(slots)
         delta = _stats_delta(before, self.cache.stats)
         self._record_run_metrics(phase, total, len(pending), len(restored),
                                  delta, counters)

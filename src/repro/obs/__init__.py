@@ -1,4 +1,4 @@
-"""Observability: metrics, span tracing, and profiling instrumentation.
+"""Observability: metrics, span tracing, and performance attribution.
 
 The evaluation pipeline produces one headline number (the eq.-(10)
 user-perceived availability); this package makes the pipeline itself
@@ -22,14 +22,16 @@ failures — without changing a single output bit:
   hot layers reduces to one ``is not None`` check
   (``benchmarks/bench_obs_overhead.py`` guards the disabled-mode cost
   at <= 3%);
-* :mod:`~repro.obs.perf` — performance attribution: per-event-type
-  kernel accounting, engine phase/idle timelines rolled into an
-  :class:`AttributionReport` (compute vs serialization vs IPC vs idle
-  vs cache), and a deterministic counter-triggered sampling profiler
-  with collapsed-stack / speedscope flamegraph export (``repro profile``,
-  ``--profile DIR``; guarded by ``benchmarks/bench_perf_attribution.py``);
-* :mod:`~repro.obs.profiling` — a :mod:`cProfile` harness for hot-path
-  investigations;
+* :mod:`~repro.obs.perf` — the one answer to "where did the time go":
+  per-event-type kernel accounting, engine phase/idle timelines rolled
+  into an :class:`AttributionReport` (compute vs serialization vs IPC
+  vs idle vs cache), and a deterministic counter-triggered sampling
+  profiler with collapsed-stack / speedscope flamegraph export, all
+  rendered once by :meth:`PerfRecorder.document` (``repro profile``,
+  ``--profile DIR``, server job profiles; guarded by
+  ``benchmarks/bench_perf_attribution.py``).  For line-level profiles
+  use the standard library: ``python -m cProfile -o out.pstats -m
+  repro ...``;
 * :mod:`~repro.obs.slo` — the *consume* side for availability:
   :class:`SLOMonitor`, a streaming multi-window burn-rate monitor of
   the user-perceived availability SLO with error-budget accounting and
@@ -94,7 +96,6 @@ from .perf import (
     format_kernel_accounting,
     speedscope_document,
 )
-from .profiling import profiled, render_profile
 from .regression import (
     BenchComparison,
     compare_bench_records,
@@ -146,8 +147,6 @@ __all__ = [
     "format_attribution",
     "format_kernel_accounting",
     "speedscope_document",
-    "profiled",
-    "render_profile",
     "Span",
     "SpanContext",
     "Tracer",

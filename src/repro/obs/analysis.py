@@ -278,11 +278,12 @@ class TraceAnalysis:
         """Decompose trace capacity (wall x pids) into busy vs idle.
 
         The trace-side counterpart of the engine's
-        :class:`~repro.obs.AttributionReport`: every process observed in
-        the trace occupies one slot of the wall span; the union of its
-        top-level spans is busy time, the rest idle.  Busy time is
-        further attributed by span category (self time).  All values in
-        microseconds.
+        :class:`~repro.obs.AttributionReport`, and no second mechanism:
+        it only combines :meth:`worker_utilization` (every process
+        observed in the trace occupies one slot of the wall span; the
+        union of its top-level spans is busy time, the rest idle) with
+        :meth:`category_self_times` (busy time by span category).  All
+        values in microseconds.
         """
         start, end = self.wall_span
         wall = end - start

@@ -4,9 +4,12 @@ The metrics layer can say *how many* events and tasks ran; this module
 says *where the time went*, in three coordinated pieces:
 
 * :class:`KernelAccounting` — per-event-type counts and self-time,
-  recorded by the DES kernel's construction-bound profiled step so a
-  disabled kernel pays nothing (same zero-overhead idiom as the
-  metrics binding, guarded by ``benchmarks/bench_perf_attribution.py``);
+  recorded by the DES kernel's one observed step, bound at
+  construction only when metrics or perf is present, so a disabled
+  kernel pays nothing (guarded by
+  ``benchmarks/bench_perf_attribution.py``).  The step times each event
+  with one clock pair, and the same elapsed time feeds the
+  ``sim_event_seconds`` histograms when metrics are also active;
 * :class:`BatchPerf` / :class:`AttributionReport` — the evaluation
   engine's per-batch timeline: worker execute windows, parent-side
   serialization and cache timing, queue-depth samples, rolled into an
@@ -24,8 +27,13 @@ says *where the time went*, in three coordinated pieces:
 
 Everything hangs off a :class:`PerfRecorder`, activated ambiently via
 :func:`repro.obs.instrumented` (``perf=``) or passed explicitly to the
-kernel/engine; ``repro profile <cmd>`` and ``--profile DIR`` wire it up
-from the CLI, and ``repro.server`` attaches per-job profile documents.
+kernel/engine.  The engine observes each task at one point (the
+executor's ``_timed_call``), whose one duration feeds
+``engine_task_seconds`` and the batch's execute window alike.  The
+recorder renders itself once, as :meth:`PerfRecorder.document`:
+``repro profile <cmd>`` and ``--profile DIR`` write it to disk, and
+``repro.server`` attaches it to a job, so a job's profile text is the
+CLI's ``attribution.txt``.
 """
 
 from __future__ import annotations
@@ -438,8 +446,12 @@ class BatchPerf:
         self._task_count += 1
         self._windows.append((pid, wall_start, duration))
 
-    def finish(self) -> AttributionReport:
-        """Close the batch window and compute the attribution identity."""
+    def finish(self, slots: Optional[int] = None) -> AttributionReport:
+        """Close the batch window and compute the attribution identity.
+
+        *slots* is how many workers the batch actually ran on (one for
+        an in-process batch); it defaults to the configured *workers*.
+        """
         elapsed = monotonic() - self._started
         window_start = self._wall_start
         window_end = self._wall_start + elapsed
@@ -480,7 +492,9 @@ class BatchPerf:
             idle += trailing
 
         # Workers that never executed a task still occupied a slot.
-        slots = max(self.workers, len(by_pid), 1)
+        if slots is None:
+            slots = self.workers
+        slots = max(slots, len(by_pid), 1)
         idle += (slots - len(by_pid)) * elapsed
         capacity = slots * elapsed
 
@@ -558,39 +572,51 @@ class PerfRecorder:
             "profile_samples": self.profiler.sample_count,
         }
 
+    def document(self) -> dict:
+        """The one rendering of this recorder, as a JSON-safe document.
+
+        ``attribution`` (:meth:`to_dict`), ``text`` (the attribution and
+        kernel-accounting tables), ``collapsed`` and ``speedscope`` (the
+        flamegraph exports).  ``repro profile`` writes it to disk with
+        :meth:`write_artifacts`; the server attaches it to a job.
+        """
+        return {
+            "attribution": self.to_dict(),
+            "text": (
+                format_attribution(self.batches)
+                + "\n\n"
+                + format_kernel_accounting(self.kernel)
+            ),
+            "collapsed": self.profiler.collapsed(),
+            "speedscope": self.profiler.speedscope(),
+        }
+
     def write_artifacts(self, directory: Path) -> List[Path]:
-        """Write the four profile artifacts; returns the paths written.
+        """Write :meth:`document` as four files; returns the paths written.
 
         ``attribution.json`` (machine-readable report + kernel
         accounting), ``attribution.txt`` (the human rendering),
         ``profile.collapsed`` (flamegraph.pl / speedscope importable),
         and ``profile.speedscope.json``.
         """
+        document = self.document()
+        files = {
+            "attribution.json": json.dumps(
+                document["attribution"], indent=2, sort_keys=True
+            ) + "\n",
+            "attribution.txt": document["text"] + "\n",
+            "profile.collapsed": document["collapsed"],
+            "profile.speedscope.json": json.dumps(
+                document["speedscope"], indent=2
+            ) + "\n",
+        }
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         written: List[Path] = []
-
-        def _write(name: str, text: str) -> None:
+        for name, text in files.items():
             path = directory / name
             path.write_text(text, encoding="utf-8")
             written.append(path)
-
-        _write(
-            "attribution.json",
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-        )
-        _write(
-            "attribution.txt",
-            format_attribution(self.batches)
-            + "\n\n"
-            + format_kernel_accounting(self.kernel)
-            + "\n",
-        )
-        _write("profile.collapsed", self.profiler.collapsed())
-        _write(
-            "profile.speedscope.json",
-            json.dumps(self.profiler.speedscope(), indent=2) + "\n",
-        )
         return written
 
 

@@ -137,22 +137,6 @@ def _job_recorder(spec: dict):
     return PerfRecorder()
 
 
-def _profile_document(recorder) -> dict:
-    """The JSON-safe profile attachment for a job result."""
-    from ..obs import format_attribution, format_kernel_accounting
-
-    return {
-        "attribution": recorder.to_dict(),
-        "text": (
-            format_attribution(recorder.batches)
-            + "\n\n"
-            + format_kernel_accounting(recorder.kernel)
-        ),
-        "collapsed": recorder.profiler.collapsed(),
-        "speedscope": recorder.profiler.speedscope(),
-    }
-
-
 def execute_job(
     kind: str,
     spec: dict,
@@ -189,7 +173,7 @@ def execute_job(
             "cells": len(workloads.SWEEP_FAILURE_RATES) * spec["servers_max"],
         }
         if recorder is not None:
-            result["profile"] = _profile_document(recorder)
+            result["profile"] = recorder.document()
         return result
     if kind == "policies":
         recorder = _job_recorder(spec)
@@ -213,7 +197,7 @@ def execute_job(
             "cells": len(report.cells),
         }
         if recorder is not None:
-            result["profile"] = _profile_document(recorder)
+            result["profile"] = recorder.document()
         return result
     if kind == "cloud":
         recorder = _job_recorder(spec)
@@ -237,7 +221,7 @@ def execute_job(
             "cells": len(report.cells),
         }
         if recorder is not None:
-            result["profile"] = _profile_document(recorder)
+            result["profile"] = recorder.document()
         return result
     if kind == "campaign":
         results = workloads.run_fault_campaigns(

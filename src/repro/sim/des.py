@@ -57,15 +57,19 @@ class Simulator:
         Optional :class:`~repro.obs.MetricsRegistry`; defaults to the
         ambient one (:func:`repro.obs.active_metrics`).  When present,
         the kernel records events processed, queue depths, and
-        per-event-type execution-time histograms.  When absent — the
-        default — every recording site is a single ``is not None``
-        check, so the uninstrumented kernel stays at its original speed.
+        per-event-type execution-time histograms.
     perf:
         Optional :class:`~repro.obs.PerfRecorder`; defaults to the
         ambient one (:func:`repro.obs.active_perf`).  When present, the
         kernel accounts per-event-type counts and self-time and ticks
-        the deterministic counter profiler — bound at construction like
-        the metrics step, so disabled runs pay nothing.
+        the deterministic counter profiler.
+
+    The step is bound once at construction.  With neither metrics nor
+    perf, it is the untouched fast step, so the uninstrumented kernel
+    stays at its original speed.  With either or both, it is one
+    observed step that names each event once and times it with one
+    clock pair; that one elapsed time feeds ``sim_event_seconds`` and
+    the kernel accounting alike.
 
     Examples
     --------
@@ -120,20 +124,18 @@ class Simulator:
                 help="Pending-event queue depth sampled before each event.",
             )
             self._action_histograms: dict = {}
-        # Bound once at construction — the disabled kernel never pays a
-        # per-event check for either metrics or perf accounting.
         if self._perf is not None:
             self._accounting = self._perf.kernel
             self._profiler = self._perf.profiler
-            self._step = self._step_profiled
-        elif self._metrics is not None:
-            self._step = self._step_instrumented
-        else:
+        # Bound once at construction — the disabled kernel never pays a
+        # per-event check for either metrics or perf accounting.
+        if self._metrics is None and self._perf is None:
             self._step = self._step_fast
+        else:
+            self._step = self._step_observed
 
-    def _action_histogram(self, action: Action) -> "Histogram":
+    def _action_histogram(self, name: str) -> "Histogram":
         """Per-event-type execution-time histogram, cached by type name."""
-        name = _action_name(action)
         histogram = self._action_histograms.get(name)
         if histogram is None:
             histogram = self._metrics.histogram(
@@ -189,28 +191,10 @@ class Simulator:
             self._cancellation.count_event()
         return True
 
-    def _step_instrumented(self) -> bool:
-        if not self._queue:
-            return False
-        depth = len(self._queue)
-        self._events_counter.inc()
-        self._depth_gauge.set_max(depth)
-        self._depth_histogram.observe(depth)
-        time, _, action = heapq.heappop(self._queue)
-        self._now = time
-        self._events_processed += 1
-        started = monotonic()
-        action()
-        self._action_histogram(action).observe(monotonic() - started)
-        if self._cancellation is not None:
-            self._cancellation.count_event()
-        return True
-
-    def _step_profiled(self) -> bool:
-        # The perf-accounting step: per-event-type self-time into the
-        # recorder's KernelAccounting, a deterministic profiler tick,
-        # and (when metrics are *also* active) everything the
-        # instrumented step records.
+    def _step_observed(self) -> bool:
+        # The one observed step, bound whenever metrics or perf is
+        # present: one type name and one clock pair per event, whose
+        # elapsed time feeds both sim_event_seconds and KernelAccounting.
         if not self._queue:
             return False
         metrics = self._metrics
@@ -223,13 +207,16 @@ class Simulator:
         self._now = time
         self._events_processed += 1
         name = _action_name(action)
-        self._profiler.tick_kernel(leaf=f"event:{name}")
+        perf = self._perf
+        if perf is not None:
+            self._profiler.tick_kernel(leaf=f"event:{name}")
         started = monotonic()
         action()
         elapsed = monotonic() - started
-        self._accounting.record(name, elapsed)
+        if perf is not None:
+            self._accounting.record(name, elapsed)
         if metrics is not None:
-            self._action_histogram(action).observe(elapsed)
+            self._action_histogram(name).observe(elapsed)
         if self._cancellation is not None:
             self._cancellation.count_event()
         return True

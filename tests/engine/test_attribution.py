@@ -1,11 +1,12 @@
 """Tests for engine performance attribution (repro.obs.perf wiring)."""
 
+import math
 import os
 
 import pytest
 
 from repro.engine import EvaluationEngine, TaskGraph
-from repro.obs import PerfRecorder
+from repro.obs import MetricsRegistry, PerfRecorder
 
 
 def _cube(x):
@@ -81,6 +82,38 @@ class TestSerialAttribution:
         engine.map(_cube, [1.0])
         assert engine._perf is None
 
+    def test_one_timer_feeds_metrics_and_attribution(self):
+        registry = MetricsRegistry()
+        recorder = PerfRecorder()
+        engine = EvaluationEngine(metrics=registry, perf=recorder)
+        engine.map(_cube, [1.0, 2.0, 3.0], phase="timed")
+        (report,) = recorder.batches
+        histogram = registry.get("engine_task_seconds", phase="timed")
+        assert histogram.count == report.tasks == 3
+        # Serial windows are disjoint, so compute is the sum of the same
+        # durations, up to wall-clock float epsilon per window.
+        assert histogram.sum == pytest.approx(report.compute, abs=1e-6)
+
+    def test_in_process_batch_runs_on_one_slot(self):
+        recorder = PerfRecorder()
+        engine = EvaluationEngine(workers=2, perf=recorder)
+        # One pending task takes the in-process branch: no pool starts.
+        engine.map(math.sqrt, [4.0], phase="single")
+        (report,) = recorder.batches
+        assert report.workers == 2
+        assert report.slots == 1
+        assert report.idle < report.elapsed  # no phantom slot's window
+
+    def test_all_cached_batch_runs_on_one_slot(self, tmp_path):
+        recorder = PerfRecorder()
+        keys = ["k-1", "k-2"]
+        EvaluationEngine(cache_dir=tmp_path).map(_cube, [1.0, 2.0], keys=keys)
+        engine = EvaluationEngine(workers=2, cache_dir=tmp_path, perf=recorder)
+        engine.map(_cube, [1.0, 2.0], keys=keys, phase="cached")
+        (report,) = recorder.batches
+        assert report.tasks == 0
+        assert report.slots == 1
+
     def test_task_profiler_ticks(self):
         recorder = PerfRecorder(task_interval=1)
         EvaluationEngine(perf=recorder).map(_cube, [1.0, 2.0], phase="p")
@@ -107,6 +140,14 @@ class TestParallelAttribution:
             report.capacity, abs=1e-5
         )
         assert report.queue_depth_samples  # sampled while waiting
+
+    def test_pool_smaller_than_workers_counts_its_own_slots(self):
+        recorder = PerfRecorder()
+        engine = EvaluationEngine(workers=3, perf=recorder)
+        engine.map(_cube, [1.0, 2.0], phase="two")
+        (report,) = recorder.batches
+        assert report.workers == 3
+        assert report.slots == 2
 
     def test_worker_kernel_accounting_merges_back(self):
         recorder = PerfRecorder()

@@ -7,6 +7,7 @@ import pytest
 from repro.obs import (
     CounterProfiler,
     KernelAccounting,
+    MetricsRegistry,
     PerfRecorder,
     active_perf,
     format_attribution,
@@ -78,13 +79,34 @@ class TestKernelAccounting:
 
 
 class TestZeroOverheadBinding:
-    def test_disabled_simulator_binds_fast_step(self):
-        sim = Simulator()
-        assert sim._step.__func__ is Simulator._step_fast
+    @pytest.mark.parametrize(
+        "metrics, perf, step",
+        [
+            (False, False, "_step_fast"),
+            (True, False, "_step_observed"),
+            (False, True, "_step_observed"),
+            (True, True, "_step_observed"),
+        ],
+    )
+    def test_step_binding(self, metrics, perf, step):
+        sim = Simulator(
+            metrics=MetricsRegistry() if metrics else None,
+            perf=PerfRecorder() if perf else None,
+        )
+        assert sim._step.__func__ is getattr(Simulator, step)
 
-    def test_perf_simulator_binds_profiled_step(self):
-        sim = Simulator(perf=PerfRecorder())
-        assert sim._step.__func__ is Simulator._step_profiled
+    def test_metrics_and_perf_share_one_timer(self):
+        registry = MetricsRegistry()
+        recorder = PerfRecorder()
+        sim = Simulator(metrics=registry, perf=recorder)
+        _run_mixed(sim, a=30, b=20)
+        accounting = recorder.kernel
+        assert registry.value("sim_events") == accounting.total_events == 50
+        for name, count in accounting.counts.items():
+            histogram = registry.get("sim_event_seconds", event=name)
+            assert histogram.count == count
+            # One elapsed time per event feeds both: exactly equal sums.
+            assert histogram.sum == accounting.seconds[name]
 
     def test_ambient_recorder_is_picked_up(self):
         recorder = PerfRecorder()

@@ -202,6 +202,20 @@ class TestExecuteJob:
         plain = execute_job("sweep", parse_spec("sweep", {"servers_max": 3}))
         assert result["text"] == plain["text"]
 
+    def test_profile_text_is_the_cli_attribution_txt(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.obs import PerfRecorder
+        from repro.server import work
+
+        recorder = PerfRecorder()
+        monkeypatch.setattr(work, "_job_recorder", lambda spec: recorder)
+        spec = parse_spec("sweep", {"servers_max": 2, "profile": True})
+        profile = execute_job("sweep", spec)["profile"]
+        recorder.write_artifacts(tmp_path)
+        cli_text = (tmp_path / "attribution.txt").read_text(encoding="utf-8")
+        assert profile["text"] + "\n" == cli_text
+
     def test_profiled_policies_attaches_profile_document(self):
         spec = parse_spec("policies", {"profile": True})
         result = execute_job("policies", spec)

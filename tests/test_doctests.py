@@ -32,7 +32,6 @@ MODULES = [
     "repro.measurement.uncertainty",
     "repro.obs.context",
     "repro.obs.metrics",
-    "repro.obs.profiling",
     "repro.obs.tracing",
     "repro.profiles.classes",
     "repro.profiles.graph",
