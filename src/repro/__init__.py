@@ -20,7 +20,8 @@ True
 Package map
 -----------
 ``repro.markov``
-    DTMC/CTMC machinery: solvers, transient analysis, reward models.
+    DTMC/CTMC machinery: the one steady-state solver chain (GTH, linear
+    solve, power iteration), transient analysis, reward models.
 ``repro.queueing``
     M/M/1[/K], M/M/c[/K], Erlang B/C, birth-death queues.
 ``repro.rbd`` / ``repro.faulttree`` / ``repro.spn``
@@ -48,8 +49,7 @@ Package map
     including Monte-Carlo sampling of the Bayesian-network models.
 ``repro.runtime``
     Fault-tolerant execution substrate: budgets/deadlines, cooperative
-    cancellation, crash-consistent run journals, heartbeats, and
-    journaled solver escalation.
+    cancellation, crash-consistent run journals and heartbeats.
 ``repro.obs``
     Observability: metrics registry with OpenMetrics exposition and
     order-invariant merging, span tracing in Chrome trace-event format

@@ -18,16 +18,22 @@ from .._validation import check_distribution, check_positive, check_probability,
 from ..errors import ModelStructureError, ValidationError
 from .dtmc import DTMC
 from .solvers import (
+    _fallback_chain,
+    _gth,
+    _linear,
+    _reachable,
+    _require_irreducible,
+    _uniformize,
     check_generator,
-    steady_state_gth,
-    steady_state_linear,
-    steady_state as _robust_steady_state,
 )
 from . import transient as _transient
 
 __all__ = ["CTMC"]
 
 State = Hashable
+
+#: The unchecked solver kernel behind each ``CTMC.steady_state`` method.
+_STEADY_STATE_KERNELS = {"auto": _fallback_chain, "gth": _gth, "linear": _linear}
 
 
 class CTMC:
@@ -185,16 +191,14 @@ class CTMC:
             exit rate.  Defaults to 1.05x the maximum exit rate (strictly
             above it, which makes the uniformized chain aperiodic).
         """
-        max_exit = float(np.max(-np.diag(self._q)))
-        if rate is None:
-            rate = max_exit * 1.05 if max_exit > 0 else 1.0
-        else:
+        if rate is not None:
             rate = check_positive(rate, "uniformization rate")
+            max_exit = float(np.max(-np.diag(self._q)))
             if rate < max_exit:
                 raise ValidationError(
                     f"uniformization rate {rate} is below the maximum exit rate {max_exit}"
                 )
-        p = np.eye(len(self)) + self._q / rate
+        p, rate = _uniformize(self._q, rate)
         return DTMC(self._states, p), rate
 
     # ------------------------------------------------------------------
@@ -206,20 +210,22 @@ class CTMC:
         Parameters
         ----------
         method:
-            ``"auto"`` (default; the robust fallback chain
-            :func:`~repro.markov.solvers.steady_state`: linear, then GTH,
-            then power iteration, warning which fallback was taken),
+            ``"auto"`` (default; the fallback chain of
+            :func:`~repro.markov.solvers.steady_state`: GTH, then the
+            linear solve, then power iteration for chains of up to 256
+            states; the sparse linear solve, then GTH, then power
+            iteration for larger ones; warning which fallback was taken),
             ``"gth"`` (subtraction-free, robust for stiff models) or
             ``"linear"`` (direct solve, faster for large chains).
+
+        The generator was validated at construction, so only the
+        irreducibility check runs before the solve.
         """
-        if method == "gth":
-            pi = steady_state_gth(self._q)
-        elif method == "linear":
-            pi = steady_state_linear(self._q)
-        elif method == "auto":
-            pi = _robust_steady_state(self._q)
-        else:
+        kernel = _STEADY_STATE_KERNELS.get(method)
+        if kernel is None:
             raise ValidationError(f"unknown method {method!r}")
+        _require_irreducible(self._q)
+        pi = kernel(self._q)
         return dict(zip(self._states, pi.tolist()))
 
     def transient_distribution(
@@ -272,10 +278,10 @@ class CTMC:
             return 0.0
 
         # Restrict to transient states reachable from the start.
-        reachable = self._reachable_from(start_idx)
+        reachable = _reachable(self._q > 0, (start_idx,))
         transient = [
             i for i in range(len(self))
-            if i in reachable and i not in absorbing
+            if reachable[i] and i not in absorbing
         ]
         index = {state: k for k, state in enumerate(transient)}
         n = len(transient)
@@ -345,19 +351,6 @@ class CTMC:
                 "expected absorption time is infinite"
             )
         return float(h[start_k] / denom)
-
-    def _reachable_from(self, start_idx: int) -> set:
-        """Indices reachable from *start_idx* (including itself)."""
-        adjacency = self._q > 0
-        seen = {start_idx}
-        frontier = [start_idx]
-        while frontier:
-            node = frontier.pop()
-            for nxt in np.nonzero(adjacency[node])[0]:
-                if int(nxt) not in seen:
-                    seen.add(int(nxt))
-                    frontier.append(int(nxt))
-        return seen
 
     # ------------------------------------------------------------------
     # Simulation support

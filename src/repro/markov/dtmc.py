@@ -17,7 +17,7 @@ import numpy as np
 
 from .._validation import check_distribution, check_probability
 from ..errors import ModelStructureError, ValidationError
-from .solvers import steady_state_gth, steady_state_power
+from .solvers import _gth, _power, _reachable, _require_irreducible
 
 __all__ = ["DTMC", "AbsorptionAnalysis"]
 
@@ -207,17 +207,8 @@ class DTMC:
         absorbing = [self.index_of(s) for s in self.absorbing_states()]
         if not absorbing:
             return False
-        reach = self._reachability()
-        return all(reach[i, absorbing].any() for i in range(len(self)))
-
-    def _reachability(self) -> np.ndarray:
-        adjacency = self._p > 0
-        reach = adjacency.copy()
-        np.fill_diagonal(reach, True)
-        # Repeated boolean squaring: O(log n) matrix products.
-        for _ in range(int(np.ceil(np.log2(max(len(self), 2)))) + 1):
-            reach = reach | (reach @ reach)
-        return reach
+        # One sweep backwards along the edges from the absorbing states.
+        return all(_reachable(self._p.T > 0, absorbing))
 
     # ------------------------------------------------------------------
     # Stationary behaviour
@@ -230,11 +221,16 @@ class DTMC:
         method:
             ``"direct"`` solves ``pi (P - I) = 0`` by GTH elimination;
             ``"power"`` uses power iteration.
+
+        The matrix was validated at construction, so the solvers' kernels
+        run without re-checking it.
         """
         if method == "direct":
-            pi = steady_state_gth(self._p - np.eye(len(self)))
+            q = self._p - np.eye(len(self))
+            _require_irreducible(q)
+            pi = _gth(q)
         elif method == "power":
-            pi, _ = steady_state_power(self._p)
+            pi, _ = _power(self._p)
         else:
             raise ValidationError(f"unknown method {method!r}")
         return dict(zip(self._states, pi.tolist()))

@@ -17,20 +17,27 @@ Three solution strategies are provided, trading robustness for speed:
 acceptance check, warning which fallback was taken.  Small dense
 generators lead with GTH (no speed penalty, immune to stiffness); large
 generators lead with the sparse linear solve.  It is the recommended
-entry point when the generator's conditioning is unknown.
+entry point when the generator's conditioning is unknown, and the only
+strategy chain in the package.
+
+Each public function validates its input once and then runs an
+unchecked kernel (``_gth``, ``_linear``, ``_power``).  Callers that
+validated their matrix at construction, such as
+:class:`~repro.markov.CTMC` and :class:`~repro.markov.DTMC`, run the
+kernels directly after the irreducibility check.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .._validation import check_finite_array
+from .._validation import check_distribution, check_finite_array
 from ..errors import NotIrreducibleError, SolverError, ValidationError
 from ..obs.clock import monotonic
 from ..obs.context import active_metrics
@@ -74,6 +81,21 @@ def check_generator(matrix: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return q
 
 
+def _uniformize(
+    q: np.ndarray, rate: Optional[float] = None
+) -> Tuple[np.ndarray, float]:
+    """The uniformized transition matrix ``P = I + Q / Lambda`` and ``Lambda``.
+
+    *rate* defaults to 1.05x the maximum exit rate (strictly above it,
+    which makes ``P`` aperiodic), or 1 when no state can be left.  The
+    generator is taken as already validated.
+    """
+    if rate is None:
+        max_exit = float(np.max(-np.diag(q)))
+        rate = max_exit * 1.05 if max_exit > 0 else 1.0
+    return np.eye(q.shape[0]) + q / rate, rate
+
+
 def strongly_connected_components(adjacency: np.ndarray) -> List[List[int]]:
     """Strongly connected components of a directed reachability structure.
 
@@ -97,28 +119,34 @@ def strongly_connected_components(adjacency: np.ndarray) -> List[List[int]]:
     return list(reversed(components))
 
 
-def _reaches_every_state(
-    sources: np.ndarray, targets: np.ndarray, n: int
-) -> bool:
-    """Whether state 0 reaches all *n* states along ``sources -> targets``.
+def _reachable(edges: np.ndarray, roots: Iterable[int]) -> List[bool]:
+    """Which states the *roots* reach along the edges of *edges*.
 
-    *sources* must be sorted (as :func:`numpy.nonzero` returns them), so
-    each state's successors form one contiguous slice.  A depth-first
-    sweep that stops as soon as every state has been seen.
+    Entry ``[i, j] != 0`` of the square matrix *edges* is an edge
+    ``i -> j``; pass ``edges.T`` to find instead the states from which
+    some root is reachable.  The roots reach themselves.  One depth-first
+    sweep over the :func:`numpy.nonzero` edges, which come sorted by
+    source so that each state's successors form one contiguous slice; it
+    stops as soon as every state has been seen.
     """
-    starts = np.searchsorted(sources, np.arange(n + 1)).tolist()
+    n = edges.shape[0]
+    sources, targets = np.nonzero(edges)
+    offsets = np.searchsorted(sources, np.arange(n + 1)).tolist()
     seen = [False] * n
-    seen[0] = True
-    unseen = n - 1
-    stack = [0]
+    stack = []
+    for root in roots:
+        if not seen[root]:
+            seen[root] = True
+            stack.append(root)
+    unseen = n - len(stack)
     while stack and unseen:
         state = stack.pop()
-        for successor in targets[starts[state]:starts[state + 1]].tolist():
+        for successor in targets[offsets[state]:offsets[state + 1]].tolist():
             if not seen[successor]:
                 seen[successor] = True
                 unseen -= 1
                 stack.append(successor)
-    return not unseen
+    return seen
 
 
 def _require_irreducible(q: np.ndarray) -> None:
@@ -126,14 +154,10 @@ def _require_irreducible(q: np.ndarray) -> None:
     # 0 (the predicate "one strongly connected component").  The diagonal
     # only adds self-loops, which reach nothing new.  The component pass
     # runs only to name the transient states of a reducible chain.
-    n = q.shape[0]
-    if n == 0:
+    if q.shape[0] == 0:
         return
-    sources, targets = np.nonzero(q)
-    if _reaches_every_state(sources, targets, n):
-        order = np.argsort(targets, kind="stable")
-        if _reaches_every_state(targets[order], sources[order], n):
-            return
+    if all(_reachable(q, (0,))) and all(_reachable(q.T, (0,))):
+        return
     adjacency = q.copy()
     np.fill_diagonal(adjacency, 0.0)
     components = strongly_connected_components(adjacency)
@@ -165,6 +189,11 @@ def steady_state_gth(generator: np.ndarray) -> np.ndarray:
     """
     q = check_generator(generator)
     _require_irreducible(q)
+    return _gth(q)
+
+
+def _gth(q: np.ndarray) -> np.ndarray:
+    """The GTH kernel of :func:`steady_state_gth`; checks nothing."""
     n = q.shape[0]
     if n == 1:
         return np.ones(1)
@@ -210,6 +239,11 @@ def steady_state_linear(generator: np.ndarray, sparse: bool = False) -> np.ndarr
     """
     q = check_generator(generator)
     _require_irreducible(q)
+    return _linear(q, sparse=sparse)
+
+
+def _linear(q: np.ndarray, sparse: bool = False) -> np.ndarray:
+    """The linear-solve kernel of :func:`steady_state_linear`; checks nothing."""
     n = q.shape[0]
     a = q.T.copy()
     a[-1, :] = 1.0
@@ -249,12 +283,30 @@ def steady_state_power(
 
     Raises
     ------
+    ValidationError
+        If the matrix is empty, not square or not finite, or a row is not
+        a probability distribution (the rule :class:`~repro.markov.DTMC`
+        applies).
     SolverError
         If convergence is not reached within *max_iterations*.
     """
+    # Finiteness first: it names the bad entry in one line, where the
+    # row check would print the whole row.
     p = np.asarray(transition_matrix, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValidationError(f"transition matrix must be square, got {p.shape}")
+    if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] == 0:
+        raise ValidationError(
+            f"transition matrix must be non-empty and square, got {p.shape}"
+        )
+    check_finite_array(p, "transition matrix")
+    for row in range(p.shape[0]):
+        check_distribution(p[row], name=f"transition matrix row {row}")
+    return _power(p, tol, max_iterations)
+
+
+def _power(
+    p: np.ndarray, tol: float = 1e-12, max_iterations: int = 100_000
+) -> Tuple[np.ndarray, int]:
+    """The power-iteration kernel of :func:`steady_state_power`; checks nothing."""
     n = p.shape[0]
     pi = np.full(n, 1.0 / n)
     for iteration in range(1, max_iterations + 1):
@@ -327,33 +379,19 @@ def steady_state(generator: np.ndarray, residual_tol: float = 1e-9) -> np.ndarra
     """
     q = check_generator(generator)
     _require_irreducible(q)
+    return _fallback_chain(q, residual_tol)
+
+
+def _fallback_chain(q: np.ndarray, residual_tol: float = 1e-9) -> np.ndarray:
+    """The strategy chain of :func:`steady_state` on a checked, irreducible *q*."""
     n = q.shape[0]
-
-    def _linear() -> np.ndarray:
-        return steady_state_linear(q, sparse=n > _SMALL_DENSE_CUTOFF)
-
-    def _gth() -> np.ndarray:
-        return steady_state_gth(q)
-
-    def _power() -> np.ndarray:
-        max_exit = float(np.max(-np.diag(q)))
-        rate = max_exit * 1.05 if max_exit > 0 else 1.0
-        p = np.eye(n) + q / rate
-        pi, _iterations = steady_state_power(p)
-        return pi
-
+    gth = ("GTH elimination", lambda: _gth(q))
+    linear = ("linear solve", lambda: _linear(q, sparse=n > _SMALL_DENSE_CUTOFF))
+    power = ("power iteration", lambda: _power(_uniformize(q)[0])[0])
     if n <= _SMALL_DENSE_CUTOFF:
-        strategies = [
-            ("GTH elimination", _gth),
-            ("linear solve", _linear),
-            ("power iteration", _power),
-        ]
+        strategies = [gth, linear, power]
     else:
-        strategies = [
-            ("linear solve", _linear),
-            ("GTH elimination", _gth),
-            ("power iteration", _power),
-        ]
+        strategies = [linear, gth, power]
 
     metrics = active_metrics()
     started = monotonic() if metrics is not None else 0.0
@@ -378,8 +416,6 @@ def steady_state(generator: np.ndarray, residual_tol: float = 1e-9) -> np.ndarra
                     strategy=name,
                 ).inc()
             return pi
-        except NotIrreducibleError:
-            raise
         except SolverError as exc:
             failures.append(f"{name}: {exc}")
             if metrics is not None:
@@ -392,7 +428,7 @@ def steady_state(generator: np.ndarray, residual_tol: float = 1e-9) -> np.ndarra
                 warnings.warn(
                     f"steady_state: {name} failed ({exc}); "
                     f"falling back to {strategies[index + 1][0]}",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
     raise SolverError(
         "all steady-state strategies failed: " + "; ".join(failures)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .._validation import check_non_negative
 from ..errors import SolverError
-from .solvers import check_generator
+from .solvers import _uniformize, check_generator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..runtime.budget import CancellationToken
@@ -69,12 +69,10 @@ def uniformization(
     if time == 0.0:
         return p0.copy()
 
-    max_exit = float(np.max(-np.diag(q)))
-    if max_exit == 0.0:
+    if float(np.max(-np.diag(q))) == 0.0:
         # All states absorbing: nothing moves.
         return p0.copy()
-    rate = max_exit * 1.05
-    p_matrix = np.eye(q.shape[0]) + q / rate
+    p_matrix, rate = _uniformize(q)
 
     poisson_rate = rate * time
     if poisson_rate > _SERIES_LIMIT:

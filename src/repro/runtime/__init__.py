@@ -12,9 +12,10 @@ bounded, and resumable:
   (atomic append + fsync, schema-versioned, torn-tail tolerant) used to
   persist per-replication campaign results;
 * :mod:`~repro.runtime.heartbeat` — the progress-callback protocol the
-  CLI uses for liveness printing and tests use as a watchdog;
-* :mod:`~repro.runtime.solver_retry` — bounded, journaled retry with
-  dense → GTH → power escalation around steady-state solves.
+  CLI uses for liveness printing and tests use as a watchdog.
+
+Steady-state solver fallback is not a runtime concern: the one strategy
+chain is :func:`repro.markov.solvers.steady_state`.
 
 The campaign-specific resume logic lives with the campaign engine
 (:func:`repro.resilience.campaign.resume_campaign`) and builds entirely
@@ -24,7 +25,6 @@ on this package.
 from .budget import Budget, CancellationToken, Deadline
 from .heartbeat import ConsoleHeartbeat, HeartbeatCallback, ProgressEvent, Watchdog
 from .journal import SCHEMA_VERSION, Journal, read_journal
-from .solver_retry import SolveAttempt, solve_steady_state_with_escalation
 
 __all__ = [
     "Budget",
@@ -37,6 +37,4 @@ __all__ = [
     "SCHEMA_VERSION",
     "Journal",
     "read_journal",
-    "SolveAttempt",
-    "solve_steady_state_with_escalation",
 ]

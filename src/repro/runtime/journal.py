@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Union
 
 from ..errors import ResumeError, ValidationError
 from ..obs.context import active_metrics
@@ -250,11 +250,3 @@ def _validate_schema(records: Iterable[Record], path: Path) -> None:
                 f"journal {path} record {position} has no 'kind'"
             )
 
-
-def latest_of_kind(records: Iterable[Record], kind: str) -> Optional[Record]:
-    """The last record of *kind*, or None.  Small helper for resumers."""
-    found = None
-    for record in records:
-        if record.get("kind") == kind:
-            found = record
-    return found

@@ -153,6 +153,38 @@ class TestPower:
         with pytest.raises(ValidationError):
             steady_state_power(np.zeros((2, 3)))
 
+    def test_rejects_rows_that_do_not_sum_to_one(self):
+        # Rows summing to 0.7 and 1.0 used to yield a "stationary vector".
+        with pytest.raises(ValidationError, match="row 0") as excinfo:
+            steady_state_power(np.array([[0.5, 0.2], [0.5, 0.5]]))
+        assert "\n" not in str(excinfo.value)
+
+    def test_rejects_nan_at_once(self, monkeypatch):
+        # A NaN entry used to run every iteration before failing to
+        # converge; it is now rejected before the first one.
+        monkeypatch.setattr(
+            "repro.markov.solvers._power",
+            lambda *args: pytest.fail("kernel ran on an invalid matrix"),
+        )
+        with pytest.raises(ValidationError, match="NaN") as excinfo:
+            steady_state_power(np.array([[0.5, np.nan], [0.5, 0.5]]))
+        assert "\n" not in str(excinfo.value)
+
+    def test_rejects_negative_entries(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            steady_state_power(np.array([[1.5, -0.5], [0.5, 0.5]]))
+
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ValidationError, match="non-empty"):
+            steady_state_power(np.zeros((0, 0)))
+
+    def test_large_row_error_is_one_line(self):
+        p = np.full((200, 200), 1.0 / 200)
+        p[7, 3] = np.inf
+        with pytest.raises(ValidationError) as excinfo:
+            steady_state_power(p)
+        assert "\n" not in str(excinfo.value)
+
 
 class TestSteadyStateFallback:
     def test_healthy_generator_solves_silently(self):
@@ -169,7 +201,7 @@ class TestSteadyStateFallback:
             raise SolverError("synthetic GTH failure")
 
         monkeypatch.setattr(
-            "repro.markov.solvers.steady_state_gth", broken_gth
+            "repro.markov.solvers._gth", broken_gth
         )
         with pytest.warns(UserWarning, match="falling back to linear"):
             pi = steady_state(q)
@@ -185,10 +217,10 @@ class TestSteadyStateFallback:
             raise SolverError("synthetic failure")
 
         monkeypatch.setattr(
-            "repro.markov.solvers.steady_state_linear", broken_linear
+            "repro.markov.solvers._linear", broken_linear
         )
         monkeypatch.setattr(
-            "repro.markov.solvers.steady_state_gth", broken_gth
+            "repro.markov.solvers._gth", broken_gth
         )
         with pytest.warns(UserWarning, match="falling back to power iteration"):
             pi = steady_state(q)
@@ -202,7 +234,7 @@ class TestSteadyStateFallback:
             return np.array([0.9, 0.1])  # wrong: fails the residual check
 
         monkeypatch.setattr(
-            "repro.markov.solvers.steady_state_gth", sloppy_gth
+            "repro.markov.solvers._gth", sloppy_gth
         )
         with pytest.warns(UserWarning, match="residual"):
             pi = steady_state(q)
@@ -218,11 +250,11 @@ class TestSteadyStateFallback:
             raise SolverError("synthetic power failure")
 
         monkeypatch.setattr(
-            "repro.markov.solvers.steady_state_linear", broken
+            "repro.markov.solvers._linear", broken
         )
-        monkeypatch.setattr("repro.markov.solvers.steady_state_gth", broken)
+        monkeypatch.setattr("repro.markov.solvers._gth", broken)
         monkeypatch.setattr(
-            "repro.markov.solvers.steady_state_power", broken_power
+            "repro.markov.solvers._power", broken_power
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -261,6 +293,72 @@ class TestSteadyStateFallback:
         assert auto["up"] == pytest.approx(gth["up"], abs=1e-12)
 
 
+class TestValidatesOnce:
+    """Each solve checks its generator once and its irreducibility once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.markov import ctmc, dtmc, solvers
+
+        counts = {"check_generator": 0, "_require_irreducible": 0}
+        for name in counts:
+            original = getattr(solvers, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (solvers, ctmc, dtmc):
+                monkeypatch.setattr(module, name, spy, raising=False)
+        return counts
+
+    @pytest.mark.parametrize(
+        "solve", [steady_state, steady_state_gth, steady_state_linear]
+    )
+    def test_public_solve_checks_once(self, calls, solve):
+        pi = solve(two_state_generator())
+        assert pi == pytest.approx([1.0 / 1.2, 0.2 / 1.2], abs=1e-12)
+        assert calls == {"check_generator": 1, "_require_irreducible": 1}
+
+    @pytest.mark.parametrize("method", ["auto", "gth", "linear"])
+    def test_ctmc_checks_its_generator_only_at_construction(self, calls, method):
+        from repro.markov import CTMC
+
+        chain = CTMC(["up", "down"], two_state_generator())
+        assert calls == {"check_generator": 1, "_require_irreducible": 0}
+        pi = chain.steady_state(method=method)
+        assert pi["up"] == pytest.approx(1.0 / 1.2, abs=1e-12)
+        assert calls == {"check_generator": 1, "_require_irreducible": 1}
+
+    def test_dtmc_direct_solve_checks_irreducibility_only(self, calls):
+        from repro.markov import DTMC
+
+        chain = DTMC(["sunny", "rainy"], [[0.9, 0.1], [0.5, 0.5]])
+        assert chain.stationary_distribution()["sunny"] == pytest.approx(
+            5.0 / 6.0, abs=1e-12
+        )
+        assert calls == {"check_generator": 0, "_require_irreducible": 1}
+
+    def test_ctmc_solves_are_the_public_solves_bit_for_bit(self):
+        from repro.markov import CTMC
+
+        rng = np.random.default_rng(18)
+        for _ in range(50):
+            n = int(rng.integers(1, 12))
+            q = rng.uniform(0.1, 2.0, (n, n))
+            np.fill_diagonal(q, 0.0)
+            np.fill_diagonal(q, -q.sum(axis=1))
+            chain = CTMC(range(n), q)
+            for method, solve in (
+                ("auto", steady_state),
+                ("gth", steady_state_gth),
+                ("linear", steady_state_linear),
+            ):
+                assert list(chain.steady_state(method).values()) == (
+                    solve(q).tolist()
+                )
+
+
 class TestSCC:
     def test_identifies_components_in_topological_order(self):
         # 0 <-> 1 form a transient class draining into absorbing 2.
@@ -280,11 +378,34 @@ class TestIrreducibilityCheck:
     """The reachability sweep decides exactly what the component pass does."""
 
     @staticmethod
-    def random_generator(rng, n, density):
+    def random_generator(rng, n, density, absorbing=()):
+        """A random generator whose *absorbing* states have no exits."""
         rates = rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < density)
+        rates[list(absorbing)] = 0.0
         np.fill_diagonal(rates, 0.0)
         np.fill_diagonal(rates, -rates.sum(axis=1))
         return rates
+
+    @staticmethod
+    def closure(edges):
+        """Reference reachability: ``reach[i, j]`` iff i reaches j (Warshall)."""
+        reach = np.asarray(edges) != 0
+        np.fill_diagonal(reach, True)
+        for k in range(reach.shape[0]):
+            reach |= reach[:, k:k + 1] & reach[k:k + 1, :]
+        return reach
+
+    def random_absorbing_chains(self, seed, count):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n = int(rng.integers(1, 11))
+            k = int(rng.integers(0, min(n, 3) + 1))
+            absorbing = rng.choice(n, size=k, replace=False).tolist()
+            q = self.random_generator(
+                rng, n, rng.uniform(0.05, 0.6), absorbing
+            )
+            # Sparse rows can leave further states without exits.
+            yield q, np.flatnonzero(np.diag(q) == 0.0).tolist()
 
     def test_agrees_with_the_components_on_random_chains(self):
         from repro.markov.solvers import _require_irreducible
@@ -323,3 +444,51 @@ class TestIrreducibilityCheck:
         )
         pi = steady_state(two_state_generator(0.2, 1.0))
         assert pi == pytest.approx([1.0 / 1.2, 0.2 / 1.2])
+
+    def test_is_absorbing_chain_matches_the_closure(self):
+        from repro.markov import CTMC
+
+        verdicts = set()
+        for q, absorbing in self.random_absorbing_chains(seed=180, count=400):
+            chain = CTMC(range(q.shape[0]), q).embedded_dtmc()
+            reach = self.closure(q > 0)
+            expected = bool(absorbing) and bool(
+                reach[:, absorbing].any(axis=1).all()
+            )
+            assert chain.is_absorbing_chain() == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    def test_mean_time_to_absorption_restricts_to_the_reachable_set(self):
+        from repro.errors import ModelStructureError
+        from repro.markov import CTMC
+
+        outcomes = set()
+        for q, absorbing in self.random_absorbing_chains(seed=181, count=300):
+            if not absorbing:
+                continue
+            n = q.shape[0]
+            chain = CTMC(range(n), q)
+            reach = self.closure(q > 0)
+            for start in range(n):
+                if start in absorbing:
+                    assert chain.mean_time_to_absorption(start) == 0.0
+                    continue
+                region = [
+                    s for s in range(n)
+                    if reach[start, s] and s not in absorbing
+                ]
+                if not all(reach[s, absorbing].any() for s in region):
+                    with pytest.raises(ModelStructureError, match="infinite"):
+                        chain.mean_time_to_absorption(start)
+                    outcomes.add("infinite")
+                    continue
+                # Expected times on the reachable transient block:
+                # -Q_RR tau = 1.
+                block = q[np.ix_(region, region)]
+                tau = np.linalg.solve(-block, np.ones(len(region)))
+                assert chain.mean_time_to_absorption(start) == pytest.approx(
+                    tau[region.index(start)], rel=1e-9
+                )
+                outcomes.add("finite")
+        assert outcomes == {"finite", "infinite"}

@@ -100,19 +100,6 @@ class TestSolverInstrumentation:
             instrumented_pi = steady_state(self.Q)
         assert instrumented_pi.tolist() == bare.tolist()
 
-    def test_escalation_attempt_counters(self):
-        from repro.runtime import solve_steady_state_with_escalation
-
-        registry = MetricsRegistry()
-        with instrumented(metrics=registry):
-            _, attempts = solve_steady_state_with_escalation(self.Q)
-        accepted = sum(1 for a in attempts if a.outcome == "accepted")
-        assert registry.value(
-            "solver_escalation_attempts",
-            strategy=attempts[-1].strategy,
-            outcome="accepted",
-        ) == accepted
-
 
 class TestEngineInstrumentation:
     def test_serial_task_accounting(self):

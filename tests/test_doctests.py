@@ -60,7 +60,6 @@ MODULES = [
     "repro.runtime.budget",
     "repro.runtime.heartbeat",
     "repro.runtime.journal",
-    "repro.runtime.solver_retry",
     "repro.sensitivity.sweep",
     "repro.sim.des",
     "repro.sim.endtoend",
