@@ -127,6 +127,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+from functools import partial
 from typing import List, Optional
 
 from . import workloads
@@ -585,23 +586,33 @@ def _runtime_context(args):
 
 
 def _cmd_inject(args) -> int:
-    from .errors import ValidationError
-    from .resilience import run_campaign, run_campaigns
-    from .ta import TravelAgencyModel
-
     cancellation, heartbeat = _runtime_context(args)
-    model = TravelAgencyModel(architecture=args.architecture)
-    scenario = workloads.fault_scenario_factories()[args.scenario](
-        model.hierarchical_model
-    )
-    if args.journal is not None:
+    if args.journal is None:
+        results = workloads.run_fault_campaigns(
+            args.scenario,
+            architecture=args.architecture,
+            user_class=args.user_class,
+            horizon=args.horizon,
+            replications=args.replications,
+            seed=args.seed,
+            workers=args.workers,
+            cancellation=cancellation,
+            heartbeat=heartbeat,
+        )
+    else:
+        from .errors import ValidationError
+        from .resilience import run_campaign
+
         if args.user_class == "both":
             raise ValidationError(
                 "--journal records a single campaign; pick --user-class A "
                 "or B (run two journaled campaigns for both classes)"
             )
+        model, scenario = workloads.fault_campaign_setup(
+            args.scenario, args.architecture
+        )
         results = [run_campaign(
-            model.hierarchical_model,
+            model,
             workloads.selected_classes(args.user_class)[0],
             scenario,
             horizon=args.horizon,
@@ -618,18 +629,6 @@ def _cmd_inject(args) -> int:
                 "user_class": args.user_class,
             },
         )]
-    else:
-        results = run_campaigns(
-            model.hierarchical_model,
-            workloads.selected_classes(args.user_class),
-            [scenario],
-            horizon=args.horizon,
-            replications=args.replications,
-            seed=args.seed,
-            workers=args.workers,
-            cancellation=cancellation,
-            heartbeat=heartbeat,
-        )
     text, calibrated = workloads.campaign_text(
         results, args.scenario, args.horizon, args.replications, args.seed
     )
@@ -643,7 +642,6 @@ def _cmd_resume(args) -> int:
     from .errors import ResumeError
     from .resilience import resume_campaign
     from .runtime import read_journal
-    from .ta import TravelAgencyModel
 
     cancellation, heartbeat = _runtime_context(args)
     records = read_journal(args.journal)
@@ -655,20 +653,28 @@ def _cmd_resume(args) -> int:
             f"journal {args.journal!r} holds no campaign_start record; "
             "was the run interrupted before its first durable write?"
         )
-    meta = start.get("meta") or {}
-    if meta.get("cli") != "inject":
+    meta = start.get("meta")
+    if not isinstance(meta, dict) or meta.get("cli") != "inject":
         raise ResumeError(
             f"journal {args.journal!r} was not written by `repro inject "
             "--journal`; resume it with repro.resilience.resume_campaign()"
         )
-    model = TravelAgencyModel(architecture=meta["architecture"])
-    scenario = workloads.fault_scenario_factories()[meta["scenario"]](
-        model.hierarchical_model
+    for param in (
+        workloads.ARCHITECTURE, workloads.SCENARIO, workloads.USER_CLASS
+    ):
+        if meta.get(param.name) not in param.choices:
+            raise ResumeError(
+                f"journal {args.journal!r} campaign_start meta field "
+                f"{param.name!r} must be one of {list(param.choices)}, got "
+                f"{meta.get(param.name)!r}"
+            )
+    model, scenario = workloads.fault_campaign_setup(
+        meta["scenario"], meta["architecture"]
     )
     user_class = workloads.selected_classes(meta["user_class"])[0]
     result = resume_campaign(
         args.journal,
-        model.hierarchical_model,
+        model,
         user_class,
         scenario,
         cancellation=cancellation,
@@ -688,27 +694,20 @@ def _cmd_resume(args) -> int:
     return 0
 
 
-def _retry_sim_cell(spec):
-    """One retry DES cross-validation cell (module-level: picklable)."""
+def _retry_sim_cell(spec, cancellation=None):
+    """One retry DES cross-validation cell (module-level: picklable).
+
+    Each cell seeds its own rng, so outputs do not depend on the worker
+    count; only in-process cells get the *cancellation* token.
+    """
     import numpy as np
 
-    from .resilience import RetryPolicy
     from .sim import estimate_user_availability_with_retries
-    from .ta import TravelAgencyModel
 
-    architecture, class_name, max_retries, persistence, sessions, seed = spec
-    model = TravelAgencyModel(architecture=architecture)
-    users = next(
-        u
-        for u in workloads.selected_classes("both")
-        if u.name == class_name
-    )
+    model, users, policy, sessions, seed = spec
     sim = estimate_user_availability_with_retries(
-        model.hierarchical_model,
-        users,
-        RetryPolicy(max_retries=max_retries, persistence=persistence),
-        sessions,
-        np.random.default_rng(seed),
+        model, users, policy, sessions, np.random.default_rng(seed),
+        cancellation=cancellation,
     )
     return sim.served_fraction, sim.mean_attempts
 
@@ -764,37 +763,22 @@ def _cmd_retries(args) -> int:
         print(format_table(header, rows, title="Table 8 with retries"))
 
     if args.simulate is not None:
-        import numpy as np
-
-        from .sim import estimate_user_availability_with_retries
+        from .engine import EvaluationEngine
 
         print()
-        if args.workers > 1:
-            # Parallelize the per-class simulations through the engine;
-            # each cell re-seeds its own rng, so outputs are
-            # bit-identical to the serial loop below.
-            from .engine import EvaluationEngine
-
-            specs = [
-                (args.architecture, users.name, args.max_retries,
-                 args.persistence, args.simulate, args.seed)
-                for users in classes
-            ]
-            sims = EvaluationEngine(
-                workers=args.workers, cancellation=cancellation
-            ).map(_retry_sim_cell, specs, phase="retry DES").outputs
-        else:
-            sims = []
-            for users in classes:
-                sim = estimate_user_availability_with_retries(
-                    model.hierarchical_model,
-                    users,
-                    policy,
-                    args.simulate,
-                    np.random.default_rng(args.seed),
-                    cancellation=cancellation,
-                )
-                sims.append((sim.served_fraction, sim.mean_attempts))
+        specs = [
+            (model.hierarchical_model, users, policy, args.simulate,
+             args.seed)
+            for users in classes
+        ]
+        cell = _retry_sim_cell
+        if args.workers == 1 or len(specs) == 1:
+            # The engine runs these in-process, so the token need not
+            # pickle.
+            cell = partial(_retry_sim_cell, cancellation=cancellation)
+        sims = EvaluationEngine(
+            workers=args.workers, cancellation=cancellation
+        ).map(cell, specs, phase="retry DES").outputs
         rows = []
         for users, analytic, (served, attempts) in zip(
             classes, results, sims
@@ -1069,11 +1053,9 @@ def _cmd_slo(args) -> int:
 
     from .obs import PoissonSessionSampler, SLOMonitor, format_slo_report
     from .resilience import run_campaign
-    from .ta import TravelAgencyModel
 
-    model = TravelAgencyModel(architecture=args.architecture)
-    scenario = workloads.fault_scenario_factories()[args.scenario](
-        model.hierarchical_model
+    model, scenario = workloads.fault_campaign_setup(
+        args.scenario, args.architecture
     )
 
     summaries = []
@@ -1082,9 +1064,7 @@ def _cmd_slo(args) -> int:
         objective = (
             args.objective
             if args.objective is not None
-            else model.hierarchical_model.user_availability(
-                user_class
-            ).availability
+            else model.user_availability(user_class).availability
         )
         monitor = SLOMonitor(
             objective=objective,
@@ -1098,7 +1078,7 @@ def _cmd_slo(args) -> int:
             rng=np.random.default_rng(args.seed),
         )
         run_campaign(
-            model.hierarchical_model,
+            model,
             user_class,
             scenario,
             horizon=args.horizon,

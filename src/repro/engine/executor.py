@@ -99,7 +99,7 @@ from ..obs.clock import monotonic, walltime
 from ..obs.context import active_metrics, active_perf, active_tracer
 from ..runtime.budget import CancellationToken
 from ..runtime.heartbeat import HeartbeatCallback, ProgressEvent
-from ..runtime.journal import Journal, read_journal
+from ..runtime.journal import Journal, read_journal, record_index
 from .cache import CacheStats, MemoCache
 from .retry import TaskRetryPolicy
 from .tasks import TaskGraph
@@ -444,7 +444,7 @@ class EvaluationEngine:
     # ------------------------------------------------------------------
     def _check(self) -> None:
         if self.cancellation is not None:
-            self.cancellation.check()
+            self.cancellation.check_now()
 
     def _beat(self, phase: str, completed: int, total: int, message: str = ""):
         if self.heartbeat is not None:
@@ -980,14 +980,7 @@ class EvaluationEngine:
         for record in records:
             if record.get("kind") != "task_result":
                 continue
-            index = record.get("index")
-            # Only a JSON integer in range names a task (bool is an int
-            # subclass, and 0.7 must not silently become task 0).
-            if type(index) is not int or not 0 <= index < total:
-                raise ResumeError(
-                    f"journal {path} holds a task_result with index "
-                    f"{index!r}, not an integer in 0..{total - 1}"
-                )
+            index = record_index(record, total, path)
             if "value" not in record:
                 raise ResumeError(
                     f"journal {path} task {index} record has no value"

@@ -35,13 +35,17 @@ runner is built on :mod:`repro.runtime`:
 Because replication ``i`` always draws from stream ``i`` of
 ``SeedSequence(seed).spawn(replications)`` — never from a shared
 generator — a resumed campaign is **bit-identical** to an uninterrupted
-run with the same seed, no matter where the interruption fell.
+run with the same seed, no matter where the interruption fell.  Fresh
+and resumed campaigns run the replications they lack through the same
+single :meth:`~repro.engine.EvaluationEngine.map` call, at any worker
+count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -50,11 +54,16 @@ import numpy as np
 from .._validation import check_positive, check_positive_int, check_rate
 from ..core import HierarchicalModel
 from ..errors import ResumeError, ValidationError
-from ..obs.context import active_metrics, active_tracer
+from ..obs.context import active_metrics
 from ..profiles import UserClass
 from ..runtime.budget import CancellationToken
 from ..runtime.heartbeat import HeartbeatCallback, ProgressEvent
-from ..runtime.journal import Journal, read_journal
+from ..runtime.journal import (
+    Journal,
+    read_journal,
+    record_field,
+    record_index,
+)
 from ..sim.endtoend import EndToEndResult, simulate_user_availability_over_time
 from .faults import FaultScenario, NullScenario
 
@@ -140,48 +149,40 @@ class CampaignResult:
         )
 
 
-#: Journal-record fields of one replication, in EndToEndResult order.
-_REPLICATION_FIELDS = (
-    "horizon",
-    "average_user_availability",
-    "fraction_fully_available",
-    "fraction_total_outage",
-    "resource_transitions",
-    "fault_events_applied",
-)
+#: Journal-record fields of one replication and their types, in
+#: EndToEndResult order.
+_REPLICATION_FIELDS = {
+    "horizon": float,
+    "average_user_availability": float,
+    "fraction_fully_available": float,
+    "fraction_total_outage": float,
+    "resource_transitions": int,
+    "fault_events_applied": int,
+}
 
 
-def _replication_record(index: int, result: EndToEndResult) -> dict:
-    record = {"index": index}
-    for name in _REPLICATION_FIELDS:
-        record[name] = getattr(result, name)
-    return record
-
-
-def _result_from_record(record: dict) -> EndToEndResult:
-    # JSON round-trips Python floats exactly (repr shortest-round-trip),
-    # so the reconstructed result is bit-identical to the one journaled.
-    return EndToEndResult(
-        horizon=float(record["horizon"]),
-        average_user_availability=float(record["average_user_availability"]),
-        fraction_fully_available=float(record["fraction_fully_available"]),
-        fraction_total_outage=float(record["fraction_total_outage"]),
-        resource_transitions=int(record["resource_transitions"]),
-        fault_events_applied=int(record["fault_events_applied"]),
-    )
-
-
-def _run_replication(
+def _replication(
     model: HierarchicalModel,
     user_class: UserClass,
     scenario: FaultScenario,
     horizon: float,
-    stream: np.random.SeedSequence,
     default_repair_rate: float,
-    cancellation: Optional[CancellationToken],
+    item: Tuple[int, np.random.SeedSequence],
+    cancellation: Optional[CancellationToken] = None,
     observer=None,
 ) -> EndToEndResult:
-    """One replication from its dedicated seed stream (resume-stable)."""
+    """Replication ``index`` of ``item = (index, stream)``, resume-stable.
+
+    The engine work function (module-level, so a ``partial`` of it
+    pickles).  In-process runs also pass the *cancellation* token,
+    polled per simulated transition, and the campaign *observer*,
+    re-based onto replication ``index``'s slice of the timeline; pool
+    workers get neither, so there cancellation has replication
+    granularity.
+    """
+    index, stream = item
+    if observer is not None:
+        observer = _ShiftedObserver(observer, index * horizon)
     rng = np.random.default_rng(stream)
     faults = scenario.compile(model, horizon, rng)
     return simulate_user_availability_over_time(
@@ -218,29 +219,6 @@ class _ShiftedObserver:
         self._observer.fault(time + self._offset, event)
 
 
-def _note_replication(metrics, scenario_name: str, class_name: str,
-                      result: EndToEndResult) -> None:
-    """Record one finished replication's fault/repair activity."""
-    if metrics is None:
-        return
-    metrics.counter(
-        "campaign_replications",
-        help="Fault-injection replications completed.",
-        scenario=scenario_name,
-        user_class=class_name,
-    ).inc()
-    metrics.counter(
-        "campaign_fault_events",
-        help="Injected failure/repair events applied, by scenario.",
-        scenario=scenario_name,
-    ).inc(result.fault_events_applied)
-    metrics.counter(
-        "campaign_resource_transitions",
-        help="Resource up/down transitions simulated, by scenario.",
-        scenario=scenario_name,
-    ).inc(result.resource_transitions)
-
-
 def _beat(
     heartbeat: Optional[HeartbeatCallback],
     phase: str,
@@ -254,18 +232,106 @@ def _beat(
         ))
 
 
-def _replication_payload(payload) -> EndToEndResult:
-    """Engine work function for one replication (module-level: picklable).
+def _run_replications(
+    model: HierarchicalModel,
+    user_class: UserClass,
+    scenario: FaultScenario,
+    horizon: float,
+    replications: int,
+    seed: int,
+    default_repair_rate: float,
+    analytic: float,
+    completed: Dict[int, EndToEndResult],
+    phase: str,
+    journal: Optional[Journal],
+    workers: int = 1,
+    cancellation: Optional[CancellationToken] = None,
+    heartbeat: Optional[HeartbeatCallback] = None,
+    observer=None,
+    ended: bool = False,
+) -> CampaignResult:
+    """Run the replications *completed* lacks; the one dispatch site.
 
-    Cancellation is handled by the parent between completions, not
-    inside workers, so parallel cancellation has replication
-    granularity.
+    Fresh runs pass no completed replications, resumed runs the ones
+    their journal holds.  Each replication computed here is counted,
+    journaled and reported in completion order; the result is assembled
+    by replication index, and ``campaign_end`` is journaled unless the
+    journal already holds one (*ended*).
     """
-    model, user_class, scenario, horizon, stream, default_repair_rate = payload
-    return _run_replication(
-        model, user_class, scenario, horizon, stream,
-        default_repair_rate, None,
+    from ..engine import EvaluationEngine
+
+    streams = np.random.SeedSequence(seed).spawn(replications)
+    todo = [
+        (index, stream)
+        for index, stream in enumerate(streams)
+        if index not in completed
+    ]
+    work = partial(
+        _replication, model, user_class, scenario, horizon,
+        default_repair_rate,
     )
+    if workers == 1 or len(todo) <= 1:
+        # The engine runs these in-process, so the replication itself
+        # can poll the token and stream to the observer.
+        work = partial(work, cancellation=cancellation, observer=observer)
+    metrics = active_metrics()
+    if metrics is not None and completed:
+        metrics.counter(
+            "campaign_replications_restored",
+            help="Replications restored from resume journals.",
+            scenario=scenario.name,
+            user_class=user_class.name,
+        ).inc(len(completed))
+    done = len(completed)
+
+    def on_result(position: int, result: EndToEndResult) -> None:
+        nonlocal done
+        done += 1
+        if metrics is not None:
+            metrics.counter(
+                "campaign_replications",
+                help="Fault-injection replications completed.",
+                scenario=scenario.name,
+                user_class=user_class.name,
+            ).inc()
+            metrics.counter(
+                "campaign_fault_events",
+                help="Injected failure/repair events applied, by scenario.",
+                scenario=scenario.name,
+            ).inc(result.fault_events_applied)
+            metrics.counter(
+                "campaign_resource_transitions",
+                help="Resource up/down transitions simulated, by scenario.",
+                scenario=scenario.name,
+            ).inc(result.resource_transitions)
+        if journal is not None:
+            journal.append("replication", index=todo[position][0], **{
+                name: getattr(result, name) for name in _REPLICATION_FIELDS
+            })
+        _beat(
+            heartbeat, phase, done, replications,
+            f"A={result.average_user_availability:.6f}",
+        )
+
+    batch = EvaluationEngine(workers=workers, cancellation=cancellation).map(
+        work, todo, phase=phase, on_result=on_result
+    )
+    results = dict(completed)
+    results.update(zip((index for index, _ in todo), batch.outputs))
+    campaign = CampaignResult(
+        user_class=user_class.name,
+        scenario=scenario.name,
+        analytic_availability=analytic,
+        replications=tuple(results[index] for index in range(replications)),
+        seed=seed,
+    )
+    if journal is not None and not ended:
+        journal.append(
+            "campaign_end",
+            mean_availability=campaign.mean_availability,
+            stderr=campaign.stderr,
+        )
+    return campaign
 
 
 def run_campaign(
@@ -394,89 +460,12 @@ def run_campaign(
                 meta=journal_meta or {},
             )
         _beat(heartbeat, phase, 0, replications, "starting")
-        metrics = active_metrics()
-        tracer = active_tracer()
-        streams = np.random.SeedSequence(seed).spawn(replications)
-        results: List[EndToEndResult] = []
-        if workers == 1 or replications == 1:
-            for index, stream in enumerate(streams):
-                if cancellation is not None:
-                    cancellation.check()
-                shifted = (
-                    _ShiftedObserver(observer, index * horizon)
-                    if observer is not None
-                    else None
-                )
-                if tracer is not None:
-                    with tracer.span(
-                        "replication", category="campaign",
-                        scenario=scenario.name, index=index,
-                    ):
-                        result = _run_replication(
-                            model, user_class, scenario, horizon, stream,
-                            default_repair_rate, cancellation, shifted,
-                        )
-                else:
-                    result = _run_replication(
-                        model, user_class, scenario, horizon, stream,
-                        default_repair_rate, cancellation, shifted,
-                    )
-                results.append(result)
-                _note_replication(
-                    metrics, scenario.name, user_class.name, result
-                )
-                if journal is not None:
-                    journal.append(
-                        "replication", **_replication_record(index, result)
-                    )
-                _beat(
-                    heartbeat, phase, index + 1, replications,
-                    f"A={result.average_user_availability:.6f}",
-                )
-        else:
-            from ..engine import EvaluationEngine
-
-            completed_count = 0
-
-            def _on_result(index: int, result: EndToEndResult) -> None:
-                nonlocal completed_count
-                completed_count += 1
-                _note_replication(
-                    metrics, scenario.name, user_class.name, result
-                )
-                if journal is not None:
-                    journal.append(
-                        "replication", **_replication_record(index, result)
-                    )
-                _beat(
-                    heartbeat, phase, completed_count, replications,
-                    f"A={result.average_user_availability:.6f}",
-                )
-
-            payloads = [
-                (model, user_class, scenario, horizon, stream,
-                 default_repair_rate)
-                for stream in streams
-            ]
-            batch = EvaluationEngine(
-                workers=workers, cancellation=cancellation
-            ).map(_replication_payload, payloads, phase=phase,
-                  on_result=_on_result)
-            results = list(batch.outputs)
-        campaign = CampaignResult(
-            user_class=user_class.name,
-            scenario=scenario.name,
-            analytic_availability=analytic,
-            replications=tuple(results),
-            seed=seed,
+        return _run_replications(
+            model, user_class, scenario, horizon, replications, seed,
+            default_repair_rate, analytic, {}, phase, journal,
+            workers=workers, cancellation=cancellation, heartbeat=heartbeat,
+            observer=observer,
         )
-        if journal is not None:
-            journal.append(
-                "campaign_end",
-                mean_availability=campaign.mean_availability,
-                stderr=campaign.stderr,
-            )
-        return campaign
     finally:
         if owns_journal:
             journal.close()
@@ -531,22 +520,23 @@ def resume_campaign(
         raise ResumeError(
             f"journal {path} has no campaign_start record; nothing to resume"
         )
-    if start["user_class"] != user_class.name:
-        raise ResumeError(
-            f"journal {path} was recorded for user class "
-            f"{start['user_class']!r}, not {user_class.name!r}"
-        )
-    if start["scenario"] != scenario.name:
-        raise ResumeError(
-            f"journal {path} was recorded for scenario "
-            f"{start['scenario']!r}, not {scenario.name!r}"
-        )
-    horizon = float(start["horizon"])
-    replications = int(start["replications"])
-    seed = int(start["seed"])
-    default_repair_rate = float(start["default_repair_rate"])
+    for name, expected in (
+        ("user_class", user_class.name), ("scenario", scenario.name)
+    ):
+        recorded = record_field(start, name, str, path)
+        if recorded != expected:
+            raise ResumeError(
+                f"journal {path} was recorded for {name.replace('_', ' ')} "
+                f"{recorded!r}, not {expected!r}"
+            )
+    horizon = record_field(start, "horizon", float, path)
+    replications = record_field(start, "replications", int, path, low=1)
+    seed = record_field(start, "seed", int, path, low=0)
+    default_repair_rate = record_field(
+        start, "default_repair_rate", float, path
+    )
+    analytic = record_field(start, "analytic_availability", float, path)
     recomputed = model.user_availability(user_class).availability
-    analytic = float(start["analytic_availability"])
     # Tolerate last-ulp noise (float summation order can differ between
     # processes under hash randomization) but catch real model drift.
     # The journaled value is authoritative for the resumed result, which
@@ -562,13 +552,18 @@ def resume_campaign(
     for record in records:
         if record.get("kind") != "replication":
             continue
-        index = int(record["index"])
-        if not 0 <= index < replications:
+        index = record_index(record, replications, path)
+        if index in completed:
             raise ResumeError(
-                f"journal {path} holds replication index {index} outside "
-                f"0..{replications - 1}"
+                f"journal {path} holds two replication records for "
+                f"index {index}"
             )
-        completed[index] = _result_from_record(record)
+        # JSON round-trips Python floats exactly (repr shortest
+        # round-trip), so each result is bit-identical to the journaled.
+        completed[index] = EndToEndResult(**{
+            name: record_field(record, name, kind, path)
+            for name, kind in _REPLICATION_FIELDS.items()
+        })
 
     phase = f"resume {user_class.name}/{scenario.name}"
     _beat(
@@ -576,53 +571,15 @@ def resume_campaign(
         f"{len(completed)} replication(s) restored from journal",
     )
 
-    metrics = active_metrics()
-    if metrics is not None and completed:
-        metrics.counter(
-            "campaign_replications_restored",
-            help="Replications restored from resume journals.",
-            scenario=scenario.name,
-            user_class=user_class.name,
-        ).inc(len(completed))
-
     if owns_journal:
         journal = Journal(path)
     try:
-        streams = np.random.SeedSequence(seed).spawn(replications)
-        results: List[EndToEndResult] = []
-        for index, stream in enumerate(streams):
-            if index in completed:
-                results.append(completed[index])
-                continue
-            if cancellation is not None:
-                cancellation.check()
-            result = _run_replication(
-                model, user_class, scenario, horizon, stream,
-                default_repair_rate, cancellation,
-            )
-            results.append(result)
-            _note_replication(metrics, scenario.name, user_class.name, result)
-            journal.append(
-                "replication", **_replication_record(index, result)
-            )
-            _beat(
-                heartbeat, phase, index + 1, replications,
-                f"A={result.average_user_availability:.6f}",
-            )
-        campaign = CampaignResult(
-            user_class=user_class.name,
-            scenario=scenario.name,
-            analytic_availability=analytic,
-            replications=tuple(results),
-            seed=seed,
+        return _run_replications(
+            model, user_class, scenario, horizon, replications, seed,
+            default_repair_rate, analytic, completed, phase, journal,
+            cancellation=cancellation, heartbeat=heartbeat,
+            ended=any(r.get("kind") == "campaign_end" for r in records),
         )
-        if not any(r.get("kind") == "campaign_end" for r in records):
-            journal.append(
-                "campaign_end",
-                mean_availability=campaign.mean_availability,
-                stderr=campaign.stderr,
-            )
-        return campaign
     finally:
         if owns_journal:
             journal.close()

@@ -223,6 +223,13 @@ class CancellationToken:
                         limit="wall_clock",
                     )
 
+    def check_now(self) -> None:
+        """:meth:`check`, reading the wall clock whatever the stride: for
+        coarse progress points (one poll per engine task), where
+        *clock_stride* polls could outlast the whole run."""
+        self._until_clock_check = 0
+        self.check()
+
     def count_event(self, n: int = 1) -> None:
         """Charge *n* simulated events against the budget, then check."""
         self.events += n

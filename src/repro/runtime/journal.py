@@ -25,12 +25,15 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from ..errors import ResumeError, ValidationError
 from ..obs.context import active_metrics
 
-__all__ = ["SCHEMA_VERSION", "Journal", "read_journal"]
+__all__ = [
+    "SCHEMA_VERSION", "Journal", "read_journal", "record_field",
+    "record_index",
+]
 
 #: Version written into every record; bumped on incompatible layout changes.
 SCHEMA_VERSION = 1
@@ -250,3 +253,52 @@ def _validate_schema(records: Iterable[Record], path: Path) -> None:
                 f"journal {path} record {position} has no 'kind'"
             )
 
+
+#: The JSON types a record field may hold for each requested Python type:
+#: exact types, so a bool never passes for an int and 0.7 never for one.
+_JSON_TYPES = {float: (int, float), int: (int,), str: (str,)}
+
+
+def record_field(
+    record: Record, name: str, kind: type, path: PathLike,
+    low: Optional[int] = None,
+):
+    """Field *name* of journal *record* as *kind*: ``float``, ``int``, ``str``.
+
+    A journal is outside input once it is resumed, so a missing field,
+    a value of the wrong JSON type, or an ``int`` below *low* raises a
+    one-line :class:`~repro.errors.ResumeError` naming the field.
+    """
+    kind_name = record.get("kind")
+    if name not in record:
+        raise ResumeError(
+            f"journal {path} {kind_name} record has no {name!r} field"
+        )
+    value = record[name]
+    if type(value) not in _JSON_TYPES[kind] or (
+        low is not None and value < low
+    ):
+        expected = f"a JSON {kind.__name__}"
+        if low is not None:
+            expected += f" >= {low}"
+        raise ResumeError(
+            f"journal {path} {kind_name} record field {name!r} must be "
+            f"{expected}, got {value!r}"
+        )
+    return kind(value)
+
+
+def record_index(record: Record, total: int, path: PathLike) -> int:
+    """The ``index`` of one journaled item of a *total*-item run.
+
+    Only a JSON integer in ``0..total-1`` names an item (bool is an int
+    subclass, and 0.7 must not silently become item 0); anything else
+    raises a one-line :class:`~repro.errors.ResumeError`.
+    """
+    index = record.get("index")
+    if type(index) is not int or not 0 <= index < total:
+        raise ResumeError(
+            f"journal {path} holds a {record.get('kind')} with index "
+            f"{index!r}, not an integer in 0..{total - 1}"
+        )
+    return index

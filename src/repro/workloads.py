@@ -390,6 +390,15 @@ def selected_classes(spec: str):
     return {"A": [CLASS_A], "B": [CLASS_B], "both": [CLASS_A, CLASS_B]}[spec]
 
 
+def fault_campaign_setup(scenario: str, architecture: str):
+    """``(model, scenario)``: the hierarchical model of *architecture*
+    and the named fault scenario built on it, for every campaign."""
+    from .ta import TravelAgencyModel
+
+    model = TravelAgencyModel(architecture=architecture).hierarchical_model
+    return model, fault_scenario_factories()[scenario](model)
+
+
 def run_fault_campaigns(
     scenario: str,
     architecture: str = ARCHITECTURE.default,
@@ -403,12 +412,10 @@ def run_fault_campaigns(
 ):
     """The ``repro inject`` campaign grid for one named scenario."""
     from .resilience import run_campaigns
-    from .ta import TravelAgencyModel
 
-    model = TravelAgencyModel(architecture=architecture)
-    built = fault_scenario_factories()[scenario](model.hierarchical_model)
+    model, built = fault_campaign_setup(scenario, architecture)
     return run_campaigns(
-        model.hierarchical_model,
+        model,
         selected_classes(user_class),
         [built],
         horizon=horizon,

@@ -193,6 +193,27 @@ class TestCancellation:
         with pytest.raises(CancelledError):
             engine.map(_cube, [1.0, 2.0])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_deadline_read_at_every_task_boundary(self, workers):
+        # A handful of tasks polls far fewer times than the token's clock
+        # stride; the engine must still read the deadline at each one.
+        from repro.errors import DeadlineExceededError
+        from repro.runtime import Budget
+
+        now = [0.0]
+        budget = Budget(wall_clock=5.0).start(clock=lambda: now[0])
+        completed = []
+
+        def expire(index, value):
+            completed.append(index)
+            now[0] = 10.0
+
+        engine = EvaluationEngine(workers=workers, cancellation=budget)
+        with pytest.raises(DeadlineExceededError):
+            engine.map(_cube, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                       on_result=expire)
+        assert len(completed) < 6
+
 
 class TestJournalResume:
     def test_journaled_batch_resumes_bit_identically(self, tmp_path):

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ValidationError
-from repro.resilience import RecurrentOutage, run_campaign
+from repro.errors import CancelledError, ValidationError
+from repro.obs import MetricsRegistry, Tracer, instrumented
+from repro.resilience import RecurrentOutage, resume_campaign, run_campaign
+from repro.runtime import CancellationToken, read_journal
 from repro.ta import CLASS_A, CLASS_B, TravelAgencyModel
 
 TA = TravelAgencyModel()
@@ -111,3 +113,56 @@ class TestWorkersParameter:
         assert kinds[0] == "campaign_start"
         assert kinds.count("replication") == len(result.replications)
         assert kinds[-1] == "campaign_end"
+
+
+class TestSerialParallelParity:
+    def test_same_metric_series_and_span_names(self):
+        def observed(workers):
+            registry, tracer = MetricsRegistry(), Tracer()
+            with instrumented(metrics=registry, tracer=tracer):
+                _campaign(workers=workers)
+            series = {
+                (m["name"], tuple(sorted(m["labels"].items())))
+                for m in registry.to_dict()["metrics"]
+            }
+            return series, {event["name"] for event in tracer.events}
+
+        serial_series, serial_spans = observed(1)
+        parallel_series, parallel_spans = observed(2)
+        assert serial_series == parallel_series
+        assert any(name.startswith("engine_") for name, _ in serial_series)
+        # Only the pool pays a submission, so only it has that span.
+        assert parallel_spans - serial_spans == {"engine submit"}
+        assert "engine task" in serial_spans
+
+    def test_out_of_order_parallel_journal_resumes_bit_identically(
+        self, tmp_path, rewrite_journal
+    ):
+        kwargs = dict(horizon=400.0, replications=6, seed=7)
+        uninterrupted = run_campaign(TA.hierarchical_model, CLASS_A, **kwargs)
+        path = tmp_path / "campaign.jsonl"
+        token = CancellationToken()
+
+        def assassin(event):
+            if event.completed == 2:
+                token.cancel("killed after two replications")
+
+        with pytest.raises(CancelledError):
+            run_campaign(
+                TA.hierarchical_model, CLASS_A, workers=2, journal=path,
+                cancellation=token, heartbeat=assassin, **kwargs,
+            )
+        start, *done = read_journal(path)
+        assert 2 <= len(done) < 6
+        # Completion order is up to the pool; descending indices are out
+        # of order whatever order it finished in.
+        done.sort(key=lambda record: -record["index"])
+        rewrite_journal(path, [start] + done)
+        resumed = resume_campaign(path, TA.hierarchical_model, CLASS_A)
+        assert resumed == uninterrupted
+        indices = [
+            r["index"] for r in read_journal(path)
+            if r["kind"] == "replication"
+        ]
+        assert sorted(indices) == list(range(6))
+        assert indices[:len(done)] != sorted(indices[:len(done)])

@@ -210,3 +210,72 @@ class TestResumeValidation:
         again = resume_campaign(path, model, CLASS_A)
         assert again == done
         assert path.read_bytes() == before  # nothing re-simulated
+
+
+class TestResumeProgress:
+    def test_beats_count_completed_replications(
+        self, model, tmp_path, rewrite_journal
+    ):
+        # A journal holding only replication 1 of 3: the beats count
+        # what is done (restored plus resumed), not replication indices.
+        path = tmp_path / "campaign.jsonl"
+        run_campaign(
+            model, CLASS_A, horizon=HORIZON, replications=3, seed=2,
+            journal=path,
+        )
+        start, *replications = read_journal(path)[:4]
+        rewrite_journal(path, [start, replications[1]])
+        beats = []
+        resume_campaign(path, model, CLASS_A, heartbeat=beats.append)
+        assert [(e.completed, e.total) for e in beats] == [
+            (1, 3), (2, 3), (3, 3)
+        ]
+
+
+def _set(record, **fields):
+    return {**record, **fields}
+
+
+def _drop(record, name):
+    return {k: v for k, v in record.items() if k != name}
+
+
+class TestMalformedJournal:
+    """Each malformed journal fails with one line naming the bad field."""
+
+    @pytest.mark.parametrize("mutate, names", [
+        (lambda s, r: [s, _set(r, index=0.7)], "index 0.7"),
+        (lambda s, r: [s, _set(r, index=True)], "index True"),
+        (lambda s, r: [s, _set(r, index="0")], "index '0'"),
+        (lambda s, r: [s, _set(r, index=REPLICATIONS)], "index 5"),
+        (lambda s, r: [s, r, r], "two replication records for index 0"),
+        (lambda s, r: [_set(s, replications=True), r], "'replications'"),
+        (lambda s, r: [_set(s, seed=-1), r], "'seed'"),
+        (lambda s, r: [_drop(s, "horizon"), r], "'horizon'"),
+        (lambda s, r: [_drop(s, "user_class"), r], "'user_class'"),
+        (lambda s, r: [s, _drop(r, "fraction_total_outage")],
+         "'fraction_total_outage'"),
+        (lambda s, r: [s, _set(r, resource_transitions="12")],
+         "'resource_transitions'"),
+    ], ids=[
+        "float-index", "bool-index", "string-index", "out-of-range-index",
+        "duplicate-index", "bool-replications", "negative-seed",
+        "missing-start-field", "missing-user-class", "missing-result-field",
+        "string-result-field",
+    ])
+    def test_rejected_with_one_line(
+        self, model, tmp_path, rewrite_journal, mutate, names
+    ):
+        path = tmp_path / "campaign.jsonl"
+        run_campaign(
+            model, CLASS_A, horizon=HORIZON, replications=REPLICATIONS,
+            seed=0, journal=path,
+        )
+        start, first = read_journal(path)[:2]
+        rewrite_journal(path, mutate(start, first))
+        with pytest.raises(ResumeError) as excinfo:
+            resume_campaign(path, model, CLASS_A)
+        message = str(excinfo.value)
+        assert names in message
+        assert str(path) in message
+        assert "\n" not in message

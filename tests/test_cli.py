@@ -286,6 +286,28 @@ class TestJournaledInject:
         assert main(["resume", str(path)]) == 2
         assert "repro inject" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, change, names", [
+        ("campaign_start", {"meta": {"cli": "inject"}}, "'architecture'"),
+        ("replication", {"index": 0.7}, "index 0.7"),
+    ], ids=["missing-architecture", "float-index"])
+    def test_resume_rejects_malformed_journal_with_one_line(
+        self, tmp_path, capsys, rewrite_journal, kind, change, names
+    ):
+        from repro.runtime import read_journal
+
+        path = tmp_path / "campaign.jsonl"
+        assert main(self.ARGS + ["--journal", str(path)]) == 0
+        capsys.readouterr()
+        rewrite_journal(path, [
+            {**r, **change} if r["kind"] == kind else r
+            for r in read_journal(path)
+        ])
+        assert main(["resume", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert names in err
+        assert err.count("\n") == 1
+
     def test_rerunning_over_existing_journal_refused(self, tmp_path, capsys):
         path = tmp_path / "campaign.jsonl"
         assert main(self.ARGS + ["--journal", str(path)]) == 0
