@@ -981,6 +981,11 @@ class EvaluationEngine:
             if record.get("kind") != "task_result":
                 continue
             index = record_index(record, total, path)
+            if index in restored:
+                raise ResumeError(
+                    f"journal {path} holds two task_result records for "
+                    f"index {index}"
+                )
             if "value" not in record:
                 raise ResumeError(
                     f"journal {path} task {index} record has no value"

@@ -33,9 +33,6 @@ import warnings
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
-import scipy.sparse.linalg as spla
 
 from .._validation import check_distribution, check_finite_array
 from ..errors import NotIrreducibleError, SolverError, ValidationError
@@ -110,7 +107,9 @@ def strongly_connected_components(adjacency: np.ndarray) -> List[List[int]]:
     list of lists of state indices, one per component, in topological
     order of the component DAG (sources first).
     """
-    a = sp.csr_matrix(np.asarray(adjacency) != 0)
+    from scipy.sparse import csgraph, csr_matrix
+
+    a = csr_matrix(np.asarray(adjacency) != 0)
     n_comp, labels = csgraph.connected_components(a, directed=True, connection="strong")
     components: List[List[int]] = [[] for _ in range(n_comp)]
     for state, label in enumerate(labels):
@@ -251,7 +250,10 @@ def _linear(q: np.ndarray, sparse: bool = False) -> np.ndarray:
     b[-1] = 1.0
     try:
         if sparse:
-            pi = spla.spsolve(sp.csc_matrix(a), b)
+            from scipy.sparse import csc_matrix
+            from scipy.sparse.linalg import spsolve
+
+            pi = spsolve(csc_matrix(a), b)
         else:
             pi = np.linalg.solve(a, b)
     except (np.linalg.LinAlgError, RuntimeError) as exc:

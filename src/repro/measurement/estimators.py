@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from .._validation import check_in_range, check_non_negative_int, check_probability
 from ..availability import TwoStateAvailability
@@ -47,9 +46,11 @@ def _rate_interval(
     count: int, total_time: float, confidence: float
 ) -> Tuple[float, float]:
     """Exact CI for an exponential rate from *count* complete durations."""
+    from scipy.stats import chi2
+
     alpha = 1.0 - confidence
-    lower = stats.chi2.ppf(alpha / 2.0, 2 * count) / (2.0 * total_time)
-    upper = stats.chi2.ppf(1.0 - alpha / 2.0, 2 * count) / (2.0 * total_time)
+    lower = chi2.ppf(alpha / 2.0, 2 * count) / (2.0 * total_time)
+    upper = chi2.ppf(1.0 - alpha / 2.0, 2 * count) / (2.0 * total_time)
     return float(lower), float(upper)
 
 
@@ -133,7 +134,9 @@ def availability_confidence_interval(
             f"successes ({successes}) cannot exceed trials ({trials})"
         )
     confidence = check_in_range(confidence, 0.5, 0.9999, "confidence")
-    z = stats.norm.ppf(0.5 + confidence / 2.0)
+    from scipy.stats import norm
+
+    z = norm.ppf(0.5 + confidence / 2.0)
     p_hat = successes / trials
     denominator = 1.0 + z**2 / trials
     center = (p_hat + z**2 / (2 * trials)) / denominator

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from ..errors import CalibrationError, ValidationError
 from .graph import OperationalProfile
@@ -147,8 +146,10 @@ def calibrate_profile(
             iterations=1,
         )
 
+    from scipy.optimize import least_squares
+
     try:
-        result = optimize.least_squares(
+        result = least_squares(
             residuals, x0, max_nfev=max_evaluations, xtol=1e-12, ftol=1e-12
         )
     except Exception as exc:  # scipy raises plain ValueError on bad shapes

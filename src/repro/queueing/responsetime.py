@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize, special
 
 from .._validation import check_non_negative, check_positive_int, check_rate
 from ..errors import SolverError, ValidationError
@@ -74,7 +73,9 @@ def erlang_survival(stages: int, rate: float, t: float) -> float:
     t = check_non_negative(t, "t")
     if t == 0.0:
         return 1.0
-    return float(special.gammaincc(stages, rate * t))
+    from scipy.special import gammaincc
+
+    return float(gammaincc(stages, rate * t))
 
 
 def erlang_cdf(stages: int, rate: float, t: float) -> float:
@@ -196,12 +197,14 @@ class ResponseTime:
         t = check_non_negative(t, "t")
         if t == 0.0:
             return self._mix([1.0] * len(self.weights))
+        from scipy.special import gammaincc
+
         mu = self.service_rate
         served = math.exp(-mu * t)  # no wait: one Exp(mu) service
         if self.servers == 1:
-            queued = special.gammaincc(self._merged_stages, mu * t).tolist()
+            queued = gammaincc(self._merged_stages, mu * t).tolist()
         else:
-            tails, rests = special.gammaincc(
+            tails, rests = gammaincc(
                 self._stages, [[self._stage_rate * t], [self._gap * t]]
             ).tolist()
             queued = [
@@ -216,7 +219,9 @@ class ResponseTime:
         idle = [0.0] * self.servers  # W = 0 exactly (atom at zero)
         if t == 0.0:
             return self._mix(idle + [1.0] * len(self._stages))
-        tails = special.gammaincc(self._stages, self._stage_rate * t)
+        from scipy.special import gammaincc
+
+        tails = gammaincc(self._stages, self._stage_rate * t)
         return self._mix(idle + tails.tolist())
 
     def mean(self) -> float:
@@ -255,7 +260,9 @@ class ResponseTime:
             upper *= 2.0
         else:
             raise SolverError("failed to bracket the response-time quantile")
-        return float(optimize.brentq(objective, 0.0, upper, xtol=1e-12))
+        from scipy.optimize import brentq
+
+        return float(brentq(objective, 0.0, upper, xtol=1e-12))
 
     def _mix(self, survivals) -> float:
         """The arrival-state mixture, summed in state order."""

@@ -279,6 +279,22 @@ class TestJournalResume:
             EvaluationEngine().map(_cube, [1.0, 2.0], journal=path)
         assert "\n" not in str(exc.value)
 
+    def test_duplicate_task_record_rejected(self, tmp_path):
+        from repro.runtime import Journal
+
+        path = tmp_path / "batch.jsonl"
+        with Journal(path) as journal:
+            journal.append("batch_start", phase="batch", total=2)
+            journal.append("task_result", index=0, key=None, value=1.0)
+            journal.append("task_result", index=0, key=None, value=99.0)
+        with pytest.raises(
+            ResumeError,
+            match=re.escape(f"journal {path} holds two task_result records "
+                            "for index 0"),
+        ) as exc:
+            EvaluationEngine().map(math.sqrt, [1.0, 4.0], journal=path)
+        assert "\n" not in str(exc.value)
+
     def test_changed_keys_rejected_on_resume(self, tmp_path):
         path = tmp_path / "batch.jsonl"
         items = [1.0, 2.0]
