@@ -60,8 +60,12 @@ class WebServiceLossBreakdown:
 
     @property
     def availability(self) -> float:
-        """Complement of the total unavailability."""
-        return 1.0 - self.total_unavailability
+        """Complement of the total unavailability.
+
+        At extreme loads the three losses can sum a rounding step past 1;
+        the complement is then 0, never a negative probability.
+        """
+        return max(0.0, 1.0 - self.total_unavailability)
 
 
 class WebServiceModel:

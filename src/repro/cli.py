@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Sixteen subcommands cover the common workflows without writing Python:
+The subcommands cover the common workflows without writing Python:
 
 ``repro ta``
     Evaluate the paper's Travel Agency: user availability per class,
@@ -86,14 +86,6 @@ Sixteen subcommands cover the common workflows without writing Python:
     endpoint, and an M/M/c/K admission controller that models the
     server itself (``GET /v1/self``).
 
-``repro profile``
-    Run another subcommand under performance attribution
-    (:mod:`repro.obs.perf`): per-event-type kernel accounting, an
-    engine phase/idle :class:`~repro.obs.AttributionReport` (compute
-    vs serialization vs IPC vs idle vs cache), and a deterministic
-    counter-triggered flamegraph.  Stdout stays byte-identical to the
-    unwrapped run; the artifacts land in ``--out``.
-
 Long runs are bounded and interruptible: ``inject`` and ``retries``
 take ``--deadline SECONDS`` (wall clock; exceeding it exits with code 2
 and, with ``--journal``, leaves a resumable journal) and ``--progress``
@@ -102,20 +94,23 @@ and, with ``--journal``, leaves a resumable journal) and ``--progress``
 Long runs are also observable: ``sweep``/``inject``/``retries``/
 ``resume`` take ``--metrics PATH`` (a :mod:`repro.obs` registry
 snapshot, rendered by ``repro stats``) and ``--trace PATH`` (a Chrome
-trace-event JSONL span timeline), plus ``--profile DIR`` (performance-
-attribution artifacts, also reachable as ``repro profile <command>``);
-all files are written even when a deadline aborts the run.
+trace-event JSONL span timeline), plus ``--profile DIR`` (performance
+attribution, :mod:`repro.obs.perf`: per-event-type kernel accounting,
+an engine phase/idle :class:`~repro.obs.AttributionReport` and a
+deterministic counter-triggered flamegraph); all files are written even
+when a deadline aborts the run.
 Instrumentation never changes stdout — a ``--metrics``/``--trace``/
 ``--profile`` run prints byte-identical results.
 
-Every flag is declared once, as a :class:`repro.workloads.Param`: the
-workload parameters shared with the server's job specs (``sweep``,
-``policies``, ``inject`` = the ``campaign`` kind, ``cloud``) in
-:mod:`repro.workloads`, the CLI-only ones in :data:`COMMAND_PARAMS`.
-``build_parser`` generates each subcommand's flags from its tuple
-(``arrival_rate`` becomes ``--arrival-rate``) and ``main`` checks the
-parsed values against the same records before dispatch, so the CLI and
-the server accept and reject exactly the same values.
+Every subcommand is declared once, in :data:`COMMANDS`: those of the
+workloads shared with the server's job kinds are generated from the
+table in :mod:`repro.workloads`, and each CLI-only one is a
+:class:`Command` here.  Every flag is a
+:class:`repro.workloads.Param`; ``build_parser`` generates each
+subcommand's flags from its params (``arrival_rate`` becomes
+``--arrival-rate``) and ``main`` checks the parsed values against the
+same records before dispatch, so the CLI and the server accept and
+reject exactly the same values.
 
 Run ``python -m repro <command> --help`` for the options of each.
 Errors are reported as a one-line message with exit code 2; pass
@@ -128,7 +123,7 @@ import argparse
 import contextlib
 import sys
 from functools import partial
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from . import workloads
 from .reporting import format_downtime, format_table
@@ -166,287 +161,20 @@ CACHE_DIR = Param(
     help="on-disk memo cache; a warm rerun recomputes nothing",
 )
 
-#: subcommand -> its flags; build_parser adds them and main validates them.
-COMMAND_PARAMS = {
-    "ta": (
-        workloads.ARCHITECTURE,
-        workloads.USER_CLASS,
-        Param("reservations", int, low=1, metavar="N",
-              help="set N_F = N_H = N_C (defaults to the paper's 5)"),
-        Param("sweep", bool, False,
-              help="print the Table 8 sweep over N in {1,2,3,4,5,10}"),
-        Param("categories", bool, False,
-              help="print the Fig. 13 SC1-SC4 breakdown"),
-        Param("report", bool, False,
-              help="print the full five-section availability report"),
-    ),
-    "web": (
-        workloads.SERVERS,
-        workloads.ARRIVAL_RATE,
-        workloads.SERVICE_RATE,
-        workloads.BUFFER,
-        Param("failure_rate", float, 1e-4, low=0.0, low_open=True,
-              help="per-server failures per hour"),
-        Param("repair_rate", float, 1.0, low=0.0, low_open=True,
-              help="repairs per hour (shared facility)"),
-        Param("coverage", float, low=0.0, high=1.0,
-              help="failure coverage c (omit for perfect coverage)"),
-        Param("reconfiguration_rate", float, 12.0, low=0.0, low_open=True,
-              help="manual reconfigurations per hour"),
-        DEADLINE._replace(
-            help="also report availability under a latency SLO"
-        ),
-    ),
-    "evaluate": (
-        Param("user_class", str,
-              help="evaluate one declared user class (default: all)"),
-    ),
-    "inject": workloads.CAMPAIGN + RUNTIME + (JOURNAL._replace(help=(
-        "journal per-replication results to this JSONL file "
-        "(crash-consistent; resumable via `repro resume`); "
-        "requires --user-class A or B"
-    )),),
-    "retries": (
-        workloads.ARCHITECTURE,
-        workloads.USER_CLASS,
-        workloads.MAX_RETRIES,
-        workloads.PERSISTENCE,
-        Param("sweep", bool, False,
-              help="print Table 8 with a retry-adjusted column"),
-        Param("simulate", int, low=1, metavar="SESSIONS",
-              help="cross-validate with a discrete-event retry simulation"),
-        workloads.SEED,
-        workloads.WORKERS,
-    ) + RUNTIME + (JOURNAL._replace(
-        help="append per-class retry results to this JSONL journal"
-    ),),
-    "resume": RUNTIME,
-    "sweep": workloads.SWEEP + (CACHE_DIR,) + RUNTIME + (JOURNAL._replace(
-        help="journal per-cell results to this JSONL file; re-running the "
-             "same sweep over it resumes instead of recomputing"
-    ),),
-    "policies": workloads.POLICIES + (CACHE_DIR,) + RUNTIME,
-    "cloud": workloads.CLOUD + (CACHE_DIR,) + RUNTIME,
-    "chaos": (
-        workloads.FIGURE,
-        workloads.ARRIVAL_RATE,
-        workloads.SERVERS_MAX,
-        workloads.WORKERS._replace(
-            default=2, help="worker processes (kill-worker needs >= 2)"
-        ),
-        workloads.SEED._replace(help="seed choosing the injection sites"),
-        Param("faults", int, 2, low=1,
-              help="planned injections (kills, transient faults, corrupted "
-                   "cache entries, or torn journal records)"),
-    ) + RUNTIME,
-    "stats": (
-        Param("format", str, "table",
-              choices=("table", "openmetrics", "json"),
-              help="output format (default: a sorted fixed-width table)"),
-    ),
-    "slo": (
-        workloads.SCENARIO,
-        workloads.ARCHITECTURE,
-        workloads.USER_CLASS,
-        workloads.HORIZON,
-        workloads.REPLICATIONS._replace(
-            default=4,
-            help="replications streamed back to back onto one timeline",
-        ),
-        workloads.SEED,
-        Param("session_rate", float, 1.0, low=0.0, low_open=True,
-              help="user sessions per simulated hour (Poisson sampling)"),
-        Param("objective", float, low=0.0, high=1.0, low_open=True,
-              high_open=True,
-              help="availability objective in (0, 1); default is the "
-                   "analytic eq.-(10) value of each user class"),
-        Param("short_window", float, 50.0, low=0.0, low_open=True,
-              metavar="HOURS",
-              help="short burn-rate window (also clears active alerts)"),
-        Param("long_window", float, 500.0, low=0.0, low_open=True,
-              metavar="HOURS",
-              help="long burn-rate window (suppresses blips)"),
-        Param("burn_threshold", float, 5.0, low=0.0, low_open=True,
-              help="alert when every window burns at or above this rate"),
-    ),
-    "diff": (
-        Param("include_unchanged", bool, False,
-              help="metrics mode: also list series that did not move"),
-        # Guard thresholds may legitimately be zero or negative (a "must
-        # be at least this much faster" bench): only finiteness is checked.
-        Param("threshold", float,
-              help="bench mode: override the records' own guard_threshold "
-                   "for the regression verdict"),
-    ),
-    "trace-report": (
-        Param("top", int, 10, low=1, metavar="K",
-              help="number of spans in the top-spans table"),
-    ),
-    "serve": (
-        Param("host", str, "127.0.0.1",
-              help="bind address (default: loopback only)"),
-        Param("port", int, 8033, low=0, high=65535,
-              help="TCP port; 0 picks an ephemeral port"),
-        workloads.WORKERS._replace(
-            default=2,
-            help="concurrent evaluation slots c (the M/M/c/K servers)",
-        ),
-        Param("queue_limit", int, 8, low=1,
-              help="admission capacity K: running + queued jobs; a "
-                   "submission finding K jobs in the system is rejected "
-                   "with 503"),
-        JOURNAL._replace(
-            help="journal job submissions/results to this JSONL file; a "
-                 "restart restores results and re-runs interrupted jobs"
-        ),
-        Param("slo_objective", float, 0.999, low=0.0, high=1.0,
-              low_open=True, high_open=True,
-              help="admission availability objective watched by the SLO "
-                   "monitor"),
-        Param("port_file", str, metavar="PATH",
-              help="write the bound port to this file once listening (for "
-                   "scripts using --port 0)"),
-    ),
-    "profile": (
-        Param("out", str, "profile-artifacts", metavar="DIR",
-              help="directory for attribution.json/.txt, profile.collapsed, "
-                   "and profile.speedscope.json (default: %(default)s)"),
-    ),
-}
 
+class Command(NamedTuple):
+    """One subcommand: its help line, handler and flags.
 
-def build_parser() -> argparse.ArgumentParser:
-    """The top-level argument parser (exposed for testing and docs)."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description=(
-            "User-perceived availability evaluation of web-based "
-            "applications (DSN 2003 travel-agency framework)."
-        ),
-    )
-    parser.add_argument(
-        "--debug", action="store_true",
-        help="print full tracebacks instead of one-line error messages",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, summary: str) -> argparse.ArgumentParser:
-        sub = commands.add_parser(name, help=summary)
-        for param in COMMAND_PARAMS[name]:
-            if param.type is bool:
-                sub.add_argument(
-                    param.flag, action="store_true", help=param.help
-                )
-            else:
-                sub.add_argument(
-                    param.flag,
-                    type=param.type,
-                    default=param.default,
-                    choices=param.choices,
-                    metavar=param.metavar,
-                    help=param.help,
-                )
-        return sub
-
-    command("ta", "evaluate the paper's Travel Agency case study")
-    command("web", "evaluate a web-server farm (Table 5 models)")
-    command(
-        "evaluate", "evaluate a custom model from a JSON spec file"
-    ).add_argument("spec", help="path to the JSON model specification")
-    command(
-        "inject", "run a fault-injection campaign against the Travel Agency"
-    )
-    command(
-        "retries",
-        "retry-adjusted user-perceived availability (eq. 10 + retries)",
-    )
-    command(
-        "resume", "resume an interrupted `repro inject --journal` campaign"
-    ).add_argument("journal", help="path to the campaign journal")
-    command(
-        "sweep", "regenerate a Fig. 11/12 grid through the evaluation engine"
-    )
-    command(
-        "policies",
-        "rank client-side resilience policies (retry, circuit breaker, "
-        "timeout, hedge) across farm fault scenarios",
-    )
-    command(
-        "cloud",
-        "rank cloud deployments of the Travel Agency (multi-zone replica "
-        "sets, zonal common-cause failures, autoscaling M/M/c/K farm) by "
-        "user-perceived availability",
-    )
-    command(
-        "chaos",
-        "run a Fig. 11/12 sweep under deterministic fault injection and "
-        "verify byte-identical recovery",
-    ).add_argument(
-        "--injector", required=True,
-        choices=("kill-worker", "transient", "corrupt-cache",
-                 "truncate-journal"),
-        help=(
-            "fault class to inject: kill pool workers mid-task, raise "
-            "transient task faults, corrupt on-disk cache entries, or "
-            "tear the tail off a resume journal"
-        ),
-    )
-    command(
-        "stats", "merge and render metrics files written by --metrics"
-    ).add_argument(
-        "files", nargs="+", metavar="METRICS",
-        help="one or more --metrics JSON snapshots (merged by name)",
-    )
-    command(
-        "slo",
-        "monitor the user-perceived availability SLO over a simulated "
-        "campaign (multi-window burn-rate alerting)",
-    )
-    diff = command(
-        "diff",
-        "diff two metrics snapshots or BENCH_*.json records (bench "
-        "regressions exit with code 1)",
-    )
-    diff.add_argument("old", help="baseline artifact (JSON)")
-    diff.add_argument("new", help="current artifact (JSON)")
-    # dest must not be "trace": _setup_instrumentation reads args.trace
-    # as the ambient --trace output path and would truncate the input.
-    command(
-        "trace-report", "analyze a --trace Chrome trace JSONL file"
-    ).add_argument(
-        "trace_file", metavar="trace", help="path to the trace JSONL"
-    )
-    command(
-        "serve",
-        "run the evaluation server (HTTP job API, SSE streaming, "
-        "OpenMetrics /metrics, M/M/c/K self-modeling admission)",
-    )
-    command(
-        "profile",
-        "run another subcommand under performance attribution (kernel "
-        "accounting, phase/idle timelines, flamegraph); stdout stays "
-        "byte-identical, artifacts land in --out",
-    ).add_argument(
-        "wrapped", nargs=argparse.REMAINDER, metavar="COMMAND ...",
-        help=(
-            "the subcommand to profile, with its own flags "
-            "(e.g. `repro profile sweep --figure 11 --workers 2`)"
-        ),
-    )
-    return parser
-
-
-def _check_args(args) -> None:
-    """Validate every schema-declared flag of the parsed subcommand.
-
-    Runs after parsing, not as argparse ``type=`` hooks, so a bad value
-    fails like every other :class:`~repro.errors.ReproError`: one line
-    naming the flag (``error: --workers must be an integer >= 1, got
-    0``), exit code 2, and a traceback under ``--debug``.  ``argparse``
-    parses ``nan`` and ``inf`` as floats; both are rejected here.
+    ``arguments`` are the ``(name, options)`` of further
+    ``add_argument`` calls: positionals and flags no :class:`Param`
+    declares.
     """
-    for param in COMMAND_PARAMS[args.command]:
-        workloads.check_param(param, getattr(args, param.name), param.flag)
+
+    name: str
+    summary: str
+    handler: Callable[[argparse.Namespace], int]
+    params: Tuple[Param, ...]
+    arguments: Tuple[Tuple[str, dict], ...] = ()
 
 
 def _cmd_ta(args) -> int:
@@ -555,12 +283,12 @@ def _cmd_evaluate(args) -> int:
 
     if args.user_class is not None:
         if args.user_class not in user_classes:
-            print(
-                f"error: user class {args.user_class!r} is not declared in "
-                f"{args.spec} (available: {sorted(user_classes)})",
-                file=sys.stderr,
+            from .errors import ValidationError
+
+            raise ValidationError(
+                f"user class {args.user_class!r} is not declared in "
+                f"{args.spec} (available: {sorted(user_classes)})"
             )
-            return 2
         selected = {args.user_class: user_classes[args.user_class]}
     else:
         selected = user_classes
@@ -585,57 +313,88 @@ def _runtime_context(args):
     return cancellation, heartbeat
 
 
-def _cmd_inject(args) -> int:
-    cancellation, heartbeat = _runtime_context(args)
-    if args.journal is None:
-        results = workloads.run_fault_campaigns(
-            args.scenario,
-            architecture=args.architecture,
-            user_class=args.user_class,
-            horizon=args.horizon,
-            replications=args.replications,
-            seed=args.seed,
-            workers=args.workers,
-            cancellation=cancellation,
-            heartbeat=heartbeat,
-        )
-    else:
-        from .errors import ValidationError
-        from .resilience import run_campaign
+def _print_result(document: dict) -> int:
+    """Print a workload's text; a calibration campaign that disagrees
+    with the analytic eq.-(10) value exits 1."""
+    print(document["text"])
+    return 1 if document.get("calibrated") is False else 0
 
-        if args.user_class == "both":
-            raise ValidationError(
-                "--journal records a single campaign; pick --user-class A "
-                "or B (run two journaled campaigns for both classes)"
-            )
-        model, scenario = workloads.fault_campaign_setup(
-            args.scenario, args.architecture
-        )
-        results = [run_campaign(
-            model,
-            workloads.selected_classes(args.user_class)[0],
-            scenario,
-            horizon=args.horizon,
-            replications=args.replications,
-            seed=args.seed,
-            workers=args.workers,
-            cancellation=cancellation,
-            heartbeat=heartbeat,
-            journal=args.journal,
-            journal_meta={
-                "cli": "inject",
-                "architecture": args.architecture,
-                "scenario": args.scenario,
-                "user_class": args.user_class,
-            },
-        )]
-    text, calibrated = workloads.campaign_text(
-        results, args.scenario, args.horizon, args.replications, args.seed
+
+def _cmd_workload(workload, args) -> int:
+    """Run one :mod:`repro.workloads` table entry and print its text.
+
+    A workload that evaluates through the CLI's engine gets one built
+    from ``--workers``/``--cache-dir``/``--deadline``/``--progress``,
+    and the engine's cells, wall time and cache use go to stderr.
+    """
+    import time
+
+    values = vars(args)
+    if workload.check is not None:
+        workload.check(values)
+    cancellation, heartbeat = _runtime_context(args)
+    if not workload.takes_engine:
+        output = workload.run(values, cancellation, heartbeat)
+        return _print_result(workload.document(values, output))
+    from .engine import EvaluationEngine
+
+    engine = EvaluationEngine(
+        workers=args.workers,
+        cache_dir=args.cache_dir,
+        cancellation=cancellation,
+        heartbeat=heartbeat,
     )
-    print(text)
-    if calibrated is not None:
-        return 0 if calibrated else 1
-    return 0
+    started = time.monotonic()
+    output = workload.run(values, engine)
+    elapsed = time.monotonic() - started
+    document = workload.document(values, output)
+    code = _print_result(document)
+    stats = engine.cache.stats
+    rate = f"{stats.hit_rate:.1%}" if stats.lookups else "n/a"
+    print(
+        f"engine: workers={engine.workers}, {document['cells']} cells in "
+        f"{elapsed:.2f}s; cache hits={stats.hits} misses={stats.misses} "
+        f"hit-rate={rate}",
+        file=sys.stderr,
+    )
+    return code
+
+
+def _cmd_inject(workload, args) -> int:
+    """``repro inject``: with ``--journal``, one journaled campaign."""
+    if args.journal is None:
+        return _cmd_workload(workload, args)
+    from .errors import ValidationError
+    from .resilience import run_campaign
+
+    if args.user_class == "both":
+        raise ValidationError(
+            "--journal records a single campaign; pick --user-class A "
+            "or B (run two journaled campaigns for both classes)"
+        )
+    cancellation, heartbeat = _runtime_context(args)
+    model, scenario = workloads.fault_campaign_setup(
+        args.scenario, args.architecture
+    )
+    results = [run_campaign(
+        model,
+        workloads.selected_classes(args.user_class)[0],
+        scenario,
+        horizon=args.horizon,
+        replications=args.replications,
+        seed=args.seed,
+        workers=args.workers,
+        cancellation=cancellation,
+        heartbeat=heartbeat,
+        journal=args.journal,
+        journal_meta={
+            "cli": "inject",
+            "architecture": args.architecture,
+            "scenario": args.scenario,
+            "user_class": args.user_class,
+        },
+    )]
+    return _print_result(workload.document(vars(args), results))
 
 
 def _cmd_resume(args) -> int:
@@ -808,50 +567,6 @@ def _cmd_retries(args) -> int:
     return 0
 
 
-def _engine(args):
-    """The evaluation engine for the --workers/--cache-dir/runtime flags."""
-    from .engine import EvaluationEngine
-
-    cancellation, heartbeat = _runtime_context(args)
-    return EvaluationEngine(
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        cancellation=cancellation,
-        heartbeat=heartbeat,
-    )
-
-
-def _print_engine_summary(engine, cells: int, elapsed: float) -> None:
-    """The stderr summary of an engine run: cells, wall time, cache use."""
-    stats = engine.cache.stats
-    rate = f"{stats.hit_rate:.1%}" if stats.lookups else "n/a"
-    print(
-        f"engine: workers={engine.workers}, {cells} cells in "
-        f"{elapsed:.2f}s; cache hits={stats.hits} misses={stats.misses} "
-        f"hit-rate={rate}",
-        file=sys.stderr,
-    )
-
-
-def _cmd_sweep(args) -> int:
-    import time
-
-    engine = _engine(args)
-    started = time.monotonic()
-    grid = workloads.run_fig_sweep(
-        args.figure, args.arrival_rate, args.servers_max,
-        engine=engine, journal=args.journal,
-    )
-    elapsed = time.monotonic() - started
-    print(workloads.fig_sweep_text(
-        args.figure, args.arrival_rate, args.servers_max, grid
-    ))
-    _print_engine_summary(
-        engine, len(workloads.SWEEP_FAILURE_RATES) * args.servers_max, elapsed
-    )
-    return 0
-
-
 def _cmd_chaos(args) -> int:
     import shutil
     import tempfile
@@ -974,45 +689,6 @@ def _cmd_chaos(args) -> int:
         file=sys.stderr,
     )
     return 0 if identical and recovered else 1
-
-
-def _cmd_policies(args) -> int:
-    import time
-
-    policies = workloads.client_policies(vars(args))
-    engine = _engine(args)
-    started = time.monotonic()
-    report = workloads.run_policy_comparison(
-        arrival_rate=args.arrival_rate,
-        service_rate=args.service_rate,
-        servers=args.servers,
-        buffer=args.buffer,
-        engine=engine,
-        policies=policies,
-    )
-    elapsed = time.monotonic() - started
-    print(workloads.policy_comparison_text(report))
-    _print_engine_summary(engine, len(report.cells), elapsed)
-    return 0
-
-
-def _cmd_cloud(args) -> int:
-    import time
-
-    engine = _engine(args)
-    started = time.monotonic()
-    report = workloads.run_cloud_comparison(
-        arrival_rate=args.arrival_rate,
-        service_rate=args.service_rate,
-        zone_availability=args.zone_availability,
-        engine=engine,
-    )
-    elapsed = time.monotonic() - started
-    print(workloads.cloud_comparison_text(
-        report, args.arrival_rate, args.zone_availability
-    ))
-    _print_engine_summary(engine, len(report.cells), elapsed)
-    return 0
 
 
 def _cmd_stats(args) -> int:
@@ -1213,40 +889,6 @@ def _cmd_serve(args) -> int:
         return 0
 
 
-#: Subcommands `repro profile` can wrap — exactly those that take the
-#: runtime/artifact flags (--metrics/--trace/--profile).
-PROFILEABLE_COMMANDS = (
-    "sweep", "policies", "cloud", "inject", "retries", "resume", "chaos",
-)
-
-
-def _cmd_profile(args) -> int:
-    from .errors import ValidationError
-
-    wrapped = list(args.wrapped)
-    # argparse.REMAINDER keeps a leading "--" separator if one was used
-    # to fence off the wrapped command's flags.
-    if wrapped and wrapped[0] == "--":
-        wrapped = wrapped[1:]
-    if not wrapped:
-        raise ValidationError(
-            "profile needs a subcommand to wrap, e.g. "
-            "`repro profile sweep --figure 11`"
-        )
-    command = wrapped[0]
-    if command not in PROFILEABLE_COMMANDS:
-        raise ValidationError(
-            f"cannot profile {command!r}; profileable subcommands are: "
-            + ", ".join(PROFILEABLE_COMMANDS)
-        )
-    # Inject --profile right after the subcommand so an explicit
-    # --profile in the wrapped flags still wins (argparse last-wins).
-    argv = [command, "--profile", args.out] + wrapped[1:]
-    if args.debug:
-        argv.insert(0, "--debug")
-    return main(argv)
-
-
 def _setup_instrumentation(args):
     """Activate ambient metrics/tracing/perf per --metrics/--trace/--profile.
 
@@ -1287,34 +929,293 @@ def _setup_instrumentation(args):
     return finalize
 
 
+def _workload_command(
+    workload, handler=_cmd_workload, journal: Optional[str] = None
+) -> Command:
+    """The subcommand of a :mod:`repro.workloads` table entry.
+
+    Its flags are the workload's params, then ``--cache-dir`` when it
+    runs on the CLI's engine, the runtime/artifact flags, and
+    ``--journal`` (with *journal* as its help) when it takes one.
+    """
+    params = workload.params
+    if workload.takes_engine:
+        params += (CACHE_DIR,)
+    params += RUNTIME
+    if journal is not None:
+        params += (JOURNAL._replace(help=journal),)
+    return Command(
+        workload.command, workload.summary, partial(handler, workload), params
+    )
+
+
+#: Every subcommand by name, in ``repro --help`` order.
+COMMANDS = {command.name: command for command in (
+    Command("ta", "evaluate the paper's Travel Agency case study", _cmd_ta, (
+        workloads.ARCHITECTURE,
+        workloads.USER_CLASS,
+        Param("reservations", int, low=1, metavar="N",
+              help="set N_F = N_H = N_C (defaults to the paper's 5)"),
+        Param("sweep", bool, False,
+              help="print the Table 8 sweep over N in {1,2,3,4,5,10}"),
+        Param("categories", bool, False,
+              help="print the Fig. 13 SC1-SC4 breakdown"),
+        Param("report", bool, False,
+              help="print the full five-section availability report"),
+    )),
+    Command("web", "evaluate a web-server farm (Table 5 models)", _cmd_web, (
+        workloads.SERVERS,
+        workloads.ARRIVAL_RATE,
+        workloads.SERVICE_RATE,
+        workloads.BUFFER,
+        Param("failure_rate", float, 1e-4, low=0.0, low_open=True,
+              help="per-server failures per hour"),
+        Param("repair_rate", float, 1.0, low=0.0, low_open=True,
+              help="repairs per hour (shared facility)"),
+        Param("coverage", float, low=0.0, high=1.0,
+              help="failure coverage c (omit for perfect coverage)"),
+        Param("reconfiguration_rate", float, 12.0, low=0.0, low_open=True,
+              help="manual reconfigurations per hour"),
+        DEADLINE._replace(
+            help="also report availability under a latency SLO"
+        ),
+    )),
+    Command(
+        "evaluate", "evaluate a custom model from a JSON spec file",
+        _cmd_evaluate,
+        (Param("user_class", str,
+               help="evaluate one declared user class (default: all)"),),
+        (("spec", dict(help="path to the JSON model specification")),),
+    ),
+    _workload_command(workloads.CAMPAIGN, _cmd_inject, journal=(
+        "journal per-replication results to this JSONL file "
+        "(crash-consistent; resumable via `repro resume`); "
+        "requires --user-class A or B"
+    )),
+    Command(
+        "retries",
+        "retry-adjusted user-perceived availability (eq. 10 + retries)",
+        _cmd_retries,
+        (
+            workloads.ARCHITECTURE,
+            workloads.USER_CLASS,
+            workloads.MAX_RETRIES,
+            workloads.PERSISTENCE,
+            Param("sweep", bool, False,
+                  help="print Table 8 with a retry-adjusted column"),
+            Param("simulate", int, low=1, metavar="SESSIONS",
+                  help="cross-validate with a discrete-event retry "
+                       "simulation"),
+            workloads.SEED,
+            workloads.WORKERS,
+        ) + RUNTIME + (JOURNAL._replace(
+            help="append per-class retry results to this JSONL journal"
+        ),),
+    ),
+    Command(
+        "resume", "resume an interrupted `repro inject --journal` campaign",
+        _cmd_resume, RUNTIME,
+        (("journal", dict(help="path to the campaign journal")),),
+    ),
+    _workload_command(workloads.SWEEP, journal=(
+        "journal per-cell results to this JSONL file; re-running the "
+        "same sweep over it resumes instead of recomputing"
+    )),
+    _workload_command(workloads.POLICIES),
+    _workload_command(workloads.CLOUD),
+    Command(
+        "chaos",
+        "run a Fig. 11/12 sweep under deterministic fault injection and "
+        "verify byte-identical recovery",
+        _cmd_chaos,
+        (
+            workloads.FIGURE,
+            workloads.ARRIVAL_RATE,
+            workloads.SERVERS_MAX,
+            workloads.WORKERS._replace(
+                default=2, help="worker processes (kill-worker needs >= 2)"
+            ),
+            workloads.SEED._replace(help="seed choosing the injection sites"),
+            Param("faults", int, 2, low=1,
+                  help="planned injections (kills, transient faults, "
+                       "corrupted cache entries, or torn journal records)"),
+        ) + RUNTIME,
+        (("--injector", dict(
+            required=True,
+            choices=("kill-worker", "transient", "corrupt-cache",
+                     "truncate-journal"),
+            help=(
+                "fault class to inject: kill pool workers mid-task, raise "
+                "transient task faults, corrupt on-disk cache entries, or "
+                "tear the tail off a resume journal"
+            ),
+        )),),
+    ),
+    Command(
+        "stats", "merge and render metrics files written by --metrics",
+        _cmd_stats,
+        (Param("format", str, "table",
+               choices=("table", "openmetrics", "json"),
+               help="output format (default: a sorted fixed-width table)"),),
+        (("files", dict(
+            nargs="+", metavar="METRICS",
+            help="one or more --metrics JSON snapshots (merged by name)",
+        )),),
+    ),
+    Command(
+        "slo",
+        "monitor the user-perceived availability SLO over a simulated "
+        "campaign (multi-window burn-rate alerting)",
+        _cmd_slo,
+        (
+            workloads.SCENARIO,
+            workloads.ARCHITECTURE,
+            workloads.USER_CLASS,
+            workloads.HORIZON,
+            workloads.REPLICATIONS._replace(
+                default=4,
+                help="replications streamed back to back onto one timeline",
+            ),
+            workloads.SEED,
+            Param("session_rate", float, 1.0, low=0.0, low_open=True,
+                  help="user sessions per simulated hour (Poisson sampling)"),
+            Param("objective", float, low=0.0, high=1.0, low_open=True,
+                  high_open=True,
+                  help="availability objective in (0, 1); default is the "
+                       "analytic eq.-(10) value of each user class"),
+            Param("short_window", float, 50.0, low=0.0, low_open=True,
+                  metavar="HOURS",
+                  help="short burn-rate window (also clears active alerts)"),
+            Param("long_window", float, 500.0, low=0.0, low_open=True,
+                  metavar="HOURS",
+                  help="long burn-rate window (suppresses blips)"),
+            Param("burn_threshold", float, 5.0, low=0.0, low_open=True,
+                  help="alert when every window burns at or above this rate"),
+        ),
+    ),
+    Command(
+        "diff",
+        "diff two metrics snapshots or BENCH_*.json records (bench "
+        "regressions exit with code 1)",
+        _cmd_diff,
+        (
+            Param("include_unchanged", bool, False,
+                  help="metrics mode: also list series that did not move"),
+            # Guard thresholds may legitimately be zero or negative (a
+            # "must be at least this much faster" bench): only finiteness
+            # is checked.
+            Param("threshold", float,
+                  help="bench mode: override the records' own "
+                       "guard_threshold for the regression verdict"),
+        ),
+        (
+            ("old", dict(help="baseline artifact (JSON)")),
+            ("new", dict(help="current artifact (JSON)")),
+        ),
+    ),
+    Command(
+        "trace-report", "analyze a --trace Chrome trace JSONL file",
+        _cmd_trace_report,
+        (Param("top", int, 10, low=1, metavar="K",
+               help="number of spans in the top-spans table"),),
+        # dest must not be "trace": _setup_instrumentation reads args.trace
+        # as the ambient --trace output path and would truncate the input.
+        (("trace_file", dict(
+            metavar="trace", help="path to the trace JSONL"
+        )),),
+    ),
+    Command(
+        "serve",
+        "run the evaluation server (HTTP job API, SSE streaming, "
+        "OpenMetrics /metrics, M/M/c/K self-modeling admission)",
+        _cmd_serve,
+        (
+            Param("host", str, "127.0.0.1",
+                  help="bind address (default: loopback only)"),
+            Param("port", int, 8033, low=0, high=65535,
+                  help="TCP port; 0 picks an ephemeral port"),
+            workloads.WORKERS._replace(
+                default=2,
+                help="concurrent evaluation slots c (the M/M/c/K servers)",
+            ),
+            Param("queue_limit", int, 8, low=1,
+                  help="admission capacity K: running + queued jobs; a "
+                       "submission finding K jobs in the system is "
+                       "rejected with 503"),
+            JOURNAL._replace(
+                help="journal job submissions/results to this JSONL file; a "
+                     "restart restores results and re-runs interrupted jobs"
+            ),
+            Param("slo_objective", float, 0.999, low=0.0, high=1.0,
+                  low_open=True, high_open=True,
+                  help="admission availability objective watched by the "
+                       "SLO monitor"),
+            Param("port_file", str, metavar="PATH",
+                  help="write the bound port to this file once listening "
+                       "(for scripts using --port 0)"),
+        ),
+    ),
+)}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level argument parser (exposed for testing and docs)."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description=(
+            "User-perceived availability evaluation of web-based "
+            "applications (DSN 2003 travel-agency framework)."
+        ),
+    )
+    parser.add_argument(
+        "--debug", action="store_true",
+        help="print full tracebacks instead of one-line error messages",
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for command in COMMANDS.values():
+        sub = subparsers.add_parser(command.name, help=command.summary)
+        for param in command.params:
+            if param.type is bool:
+                sub.add_argument(
+                    param.flag, action="store_true", help=param.help
+                )
+            else:
+                sub.add_argument(
+                    param.flag,
+                    type=param.type,
+                    default=param.default,
+                    choices=param.choices,
+                    metavar=param.metavar,
+                    help=param.help,
+                )
+        for name, options in command.arguments:
+            sub.add_argument(name, **options)
+    return parser
+
+
+def _check_args(command: Command, args) -> None:
+    """Validate every schema-declared flag of the parsed subcommand.
+
+    Runs after parsing, not as argparse ``type=`` hooks, so a bad value
+    fails like every other :class:`~repro.errors.ReproError`: one line
+    naming the flag (``error: --workers must be an integer >= 1, got
+    0``), exit code 2, and a traceback under ``--debug``.  ``argparse``
+    parses ``nan`` and ``inf`` as floats; both are rejected here.
+    """
+    for param in command.params:
+        workloads.check_param(param, getattr(args, param.name), param.flag)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "ta": _cmd_ta,
-        "web": _cmd_web,
-        "evaluate": _cmd_evaluate,
-        "inject": _cmd_inject,
-        "retries": _cmd_retries,
-        "resume": _cmd_resume,
-        "sweep": _cmd_sweep,
-        "policies": _cmd_policies,
-        "cloud": _cmd_cloud,
-        "chaos": _cmd_chaos,
-        "stats": _cmd_stats,
-        "slo": _cmd_slo,
-        "diff": _cmd_diff,
-        "trace-report": _cmd_trace_report,
-        "serve": _cmd_serve,
-        "profile": _cmd_profile,
-    }
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     from .errors import ReproError
 
     finalize = _setup_instrumentation(args)
     try:
-        _check_args(args)
-        return handlers[args.command](args)
+        _check_args(command, args)
+        return command.handler(args)
     except ReproError as exc:
         if args.debug:
             raise
@@ -1322,7 +1223,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     finally:
         finalize()
-
 
 if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())

@@ -27,8 +27,8 @@ failures — without changing a single output bit:
   into an :class:`AttributionReport` (compute vs serialization vs IPC
   vs idle vs cache), and a deterministic counter-triggered sampling
   profiler with collapsed-stack / speedscope flamegraph export, all
-  rendered once by :meth:`PerfRecorder.document` (``repro profile``,
-  ``--profile DIR``, server job profiles; guarded by
+  rendered once by :meth:`PerfRecorder.document` (``--profile DIR``,
+  server job profiles; guarded by
   ``benchmarks/bench_perf_attribution.py``).  For line-level profiles
   use the standard library: ``python -m cProfile -o out.pstats -m
   repro ...``;

@@ -31,7 +31,7 @@ kernel/engine.  The engine observes each task at one point (the
 executor's ``_timed_call``), whose one duration feeds
 ``engine_task_seconds`` and the batch's execute window alike.  The
 recorder renders itself once, as :meth:`PerfRecorder.document`:
-``repro profile <cmd>`` and ``--profile DIR`` write it to disk, and
+``--profile DIR`` writes it to disk, and
 ``repro.server`` attaches it to a job, so a job's profile text is the
 CLI's ``attribution.txt``.
 """
@@ -577,7 +577,7 @@ class PerfRecorder:
 
         ``attribution`` (:meth:`to_dict`), ``text`` (the attribution and
         kernel-accounting tables), ``collapsed`` and ``speedscope`` (the
-        flamegraph exports).  ``repro profile`` writes it to disk with
+        flamegraph exports).  ``--profile DIR`` writes it to disk with
         :meth:`write_artifacts`; the server attaches it to a job.
         """
         return {

@@ -3,8 +3,9 @@
 :class:`ReproServer` binds the pieces together on one asyncio event
 loop:
 
-* ``POST /v1/sweeps | /v1/policies | /v1/campaigns | /v1/probes`` —
-  validate the JSON spec (400 on a bad one), admit through the
+* ``POST /v1/<route>`` — one route per job kind (such as
+  ``/v1/sweeps``; see :data:`~repro.server.work.ROUTES`): validate the
+  JSON spec (400 on a bad one), admit through the
   M/M/c/K controller (503 + ``server_admission_rejections_total``
   when full), and answer 202 with the job document;
 * ``GET /v1/jobs`` / ``GET /v1/jobs/{id}`` / ``DELETE /v1/jobs/{id}``
@@ -54,18 +55,12 @@ from .http import (
     write_response,
 )
 from .jobs import JobManager
-from .work import execute_job, parse_spec
+from .work import ROUTES, execute_job, parse_spec
 
 __all__ = ["ReproServer", "ServerThread"]
 
 #: POST route segment -> job kind.
-_SUBMIT_ROUTES = {
-    "sweeps": "sweep",
-    "policies": "policies",
-    "campaigns": "campaign",
-    "clouds": "cloud",
-    "probes": "probe",
-}
+_KINDS = {route: kind for kind, route in ROUTES.items()}
 
 
 def _slo_summary_dict(summary) -> dict:
@@ -197,7 +192,7 @@ class ReproServer:
     # -- routing --------------------------------------------------------
     def _build_routes(self):
         return [
-            ("POST", re.compile(r"^/v1/(sweeps|policies|campaigns|clouds|probes)$"),
+            ("POST", re.compile(f"^/v1/({'|'.join(_KINDS)})$"),
              "/v1/{kind}", self._handle_submit),
             ("GET", re.compile(r"^/v1/jobs$"), "/v1/jobs",
              self._handle_jobs),
@@ -323,7 +318,7 @@ class ReproServer:
 
     # -- handlers -------------------------------------------------------
     async def _handle_submit(self, request: Request) -> Response:
-        kind = _SUBMIT_ROUTES[request.path.rsplit("/", 1)[-1]]
+        kind = _KINDS[request.params["1"]]
         spec = parse_spec(kind, request.json())  # ValidationError -> 400
         job = self.jobs.submit(kind, spec)
         accepted = job is not None

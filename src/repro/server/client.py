@@ -20,7 +20,9 @@ import socket
 import time
 from typing import Iterator, List, Optional, Tuple
 
+from .. import workloads
 from ..errors import ServerError
+from .work import ROUTES
 
 __all__ = ["ServerClient"]
 
@@ -95,34 +97,28 @@ class ServerClient:
         With ``raise_for_reject=False`` a 503 returns the rejection
         document (``rejected: true``) instead of raising.
         """
-        routes = {
-            "sweep": "/v1/sweeps",
-            "policies": "/v1/policies",
-            "campaign": "/v1/campaigns",
-            "cloud": "/v1/clouds",
-            "probe": "/v1/probes",
-        }
         try:
-            path = routes[kind]
+            route = ROUTES[kind]
         except KeyError:
             raise ServerError(
-                f"unknown job kind {kind!r}; expected one of {sorted(routes)}"
+                f"unknown job kind {kind!r}; expected one of {sorted(ROUTES)}"
             ) from None
         return self._json(
-            "POST", path, spec or {}, raise_for_reject=raise_for_reject
+            "POST", f"/v1/{route}", spec or {},
+            raise_for_reject=raise_for_reject,
         )
 
     def submit_sweep(self, **spec) -> dict:
-        return self.submit("sweep", spec)
+        return self.submit(workloads.SWEEP.kind, spec)
 
     def submit_policies(self, **spec) -> dict:
-        return self.submit("policies", spec)
+        return self.submit(workloads.POLICIES.kind, spec)
 
     def submit_campaign(self, **spec) -> dict:
-        return self.submit("campaign", spec)
+        return self.submit(workloads.CAMPAIGN.kind, spec)
 
     def submit_cloud(self, **spec) -> dict:
-        return self.submit("cloud", spec)
+        return self.submit(workloads.CLOUD.kind, spec)
 
     def submit_probe(self, **spec) -> dict:
         return self.submit("probe", spec)
@@ -173,11 +169,11 @@ class ServerClient:
 
     def sweep_text(self, **spec) -> str:
         """Run a sweep job and return its rendered grid text."""
-        return self.run("sweep", spec)["result"]["text"]
+        return self.run(workloads.SWEEP.kind, spec)["result"]["text"]
 
     def cloud_text(self, **spec) -> str:
         """Run a cloud comparison job and return its rendered text."""
-        return self.run("cloud", spec)["result"]["text"]
+        return self.run(workloads.CLOUD.kind, spec)["result"]["text"]
 
     # -- introspection --------------------------------------------------
     def self_report(self) -> dict:

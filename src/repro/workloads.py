@@ -17,11 +17,14 @@ prints), so the workload definitions live here, in one place:
   (``default_cloud_scenarios`` / ``run_cloud_comparison`` /
   ``cloud_comparison_text``).
 
-The parameters of each workload are declared here too, once: the
-:class:`Param` tuples ``SWEEP``, ``POLICIES``, ``CAMPAIGN`` and
-``CLOUD`` generate both the CLI flags (``arrival_rate`` becomes
-``--arrival-rate``) and the server's JSON spec validation, and
-:func:`check_param` enforces their types and bounds for both.
+Each workload both front ends serve is declared here once, as a
+:class:`Workload` entry of :data:`WORKLOADS` (``SWEEP``, ``POLICIES``,
+``CAMPAIGN``, ``CLOUD``): its job kind, CLI command and HTTP route, its
+:class:`Param` schema, its runner and its result document.  The CLI
+generates its subcommands and flags (``arrival_rate`` becomes
+``--arrival-rate``) from the table, the server its job kinds, spec
+validation and routes, and :func:`check_param` enforces the params'
+types and bounds for both.
 
 Everything here is importable without side effects and the work
 functions are module-level, so they stay picklable for the engine's
@@ -31,13 +34,15 @@ process-pool backend.
 from __future__ import annotations
 
 import functools
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 __all__ = [
     "SWEEP_FAILURE_RATES",
     "FAULT_SCENARIOS",
     "Param",
     "check_param",
+    "Workload",
+    "WORKLOADS",
     "SWEEP",
     "CLIENT_POLICY",
     "POLICIES",
@@ -158,6 +163,55 @@ def check_param(param: Param, value, label: str):
     return value
 
 
+class Workload(NamedTuple):
+    """One workload both front ends serve, declared once.
+
+    ``kind`` is the server's job kind, ``command`` the CLI subcommand,
+    ``route`` the ``POST /v1/<route>`` segment and ``summary`` the
+    subcommand's help line.  ``params`` generate the CLI flags and the
+    JSON spec keys; ``server_defaults`` replace some defaults for a
+    server job, which should come back in seconds.
+
+    ``run(values, engine)`` — or ``run(values, cancellation,
+    heartbeat)`` for a workload that builds its own engines — evaluates
+    a mapping of checked values; ``document(values, output)`` turns the
+    output into the server's JSON result, whose ``text`` is exactly what
+    the CLI prints.  ``check(values)``, when given, enforces the
+    cross-field rules a single param cannot.
+    """
+
+    kind: str
+    command: str
+    route: str
+    summary: str
+    params: Tuple[Param, ...]
+    run: Callable
+    document: Callable[..., dict]
+    server_defaults: Tuple[Tuple[str, object], ...] = ()
+    check: Optional[Callable] = None
+
+    @property
+    def takes_engine(self) -> bool:
+        """Whether :attr:`run` evaluates through the caller's engine.
+
+        Only then can a front end give that engine a cache
+        (``--cache-dir``) or a server job's own recorder (``"profile":
+        true``).
+        """
+        import inspect
+
+        return "engine" in inspect.signature(self.run).parameters
+
+    @property
+    def server_params(self) -> Tuple[Param, ...]:
+        """:attr:`params` with the server's defaults."""
+        defaults = dict(self.server_defaults)
+        return tuple(
+            p._replace(default=defaults.get(p.name, p.default))
+            for p in self.params
+        )
+
+
 FIGURE = Param(
     "figure", str, "11", choices=("11", "12"),
     help="11 = perfect coverage, 12 = coverage 0.98 with manual "
@@ -231,8 +285,10 @@ HORIZON = Param(
     "horizon", float, 5000.0, low=0.0, low_open=True,
     help="simulated hours per replication",
 )
+#: Bounds the replications' seed streams, spawned before the first
+#: cancellation check.
 REPLICATIONS = Param(
-    "replications", int, 6, low=1,
+    "replications", int, 6, low=1, high=10_000,
     help="independent replications per campaign",
 )
 SEED = Param("seed", int, 0, low=0, help="random seed of the run")
@@ -241,20 +297,11 @@ WORKERS = Param(
     help="worker processes; output is bit-identical for any count",
 )
 
-#: The parameters of each workload kind, in CLI/spec order.
-SWEEP = (FIGURE, ARRIVAL_RATE, SERVERS_MAX, WORKERS)
 #: The policy knobs of ``default_client_policies`` (its keyword names).
 CLIENT_POLICY = (
     TIMEOUT, HEDGE_DELAY, MAX_RETRIES, PERSISTENCE, BREAKER_THRESHOLD,
     BREAKER_RESET,
 )
-POLICIES = (
-    (ARRIVAL_RATE, SERVICE_RATE, SERVERS, BUFFER) + CLIENT_POLICY + (WORKERS,)
-)
-CAMPAIGN = (
-    SCENARIO, ARCHITECTURE, USER_CLASS, HORIZON, REPLICATIONS, SEED, WORKERS,
-)
-CLOUD = (ARRIVAL_RATE, SERVICE_RATE, ZONE_AVAILABILITY, WORKERS)
 
 
 # -- Fig. 11/12 sensitivity grids --------------------------------------
@@ -648,3 +695,145 @@ def cloud_comparison_text(
         f"(mean availability {best.mean:.9g}, "
         f"{format_downtime(best.mean)})"
     )
+
+
+# -- the workload table ------------------------------------------------
+
+def _run_sweep(values, engine):
+    return run_fig_sweep(
+        values["figure"], values["arrival_rate"], values["servers_max"],
+        engine=engine, journal=values.get("journal"),
+    )
+
+
+def _sweep_document(values, grid) -> dict:
+    return {
+        "text": fig_sweep_text(
+            values["figure"], values["arrival_rate"], values["servers_max"],
+            grid,
+        ),
+        "series": {
+            f"{lam:g}": list(grid.row(lam).outputs)
+            for lam in SWEEP_FAILURE_RATES
+        },
+        "cells": len(SWEEP_FAILURE_RATES) * values["servers_max"],
+    }
+
+
+def _run_policies(values, engine):
+    return run_policy_comparison(
+        arrival_rate=values["arrival_rate"],
+        service_rate=values["service_rate"],
+        servers=values["servers"],
+        buffer=values["buffer"],
+        engine=engine,
+        policies=client_policies(values),
+    )
+
+
+def _policies_document(values, report) -> dict:
+    best = report.best
+    return {
+        "text": policy_comparison_text(report),
+        "best": {
+            "policy": best.policy,
+            "mean_availability": best.mean_availability,
+            "worst_availability": best.worst_availability,
+            "worst_scenario": best.worst_scenario,
+        },
+        "cells": len(report.cells),
+    }
+
+
+def _run_cloud(values, engine):
+    return run_cloud_comparison(
+        arrival_rate=values["arrival_rate"],
+        service_rate=values["service_rate"],
+        zone_availability=values["zone_availability"],
+        engine=engine,
+    )
+
+
+def _cloud_document(values, report) -> dict:
+    best = report.best
+    return {
+        "text": cloud_comparison_text(
+            report, values["arrival_rate"], values["zone_availability"]
+        ),
+        "best": {
+            "deployment": best.scenario,
+            "zones": best.zones,
+            "mean_availability": best.mean,
+        },
+        "ranking": [cell.scenario for cell in report.ranking],
+        "cells": len(report.cells),
+    }
+
+
+def _run_campaigns(values, cancellation=None, heartbeat=None):
+    # The campaign params are run_fault_campaigns's keyword names.
+    return run_fault_campaigns(
+        **{p.name: values[p.name] for p in CAMPAIGN.params},
+        cancellation=cancellation,
+        heartbeat=heartbeat,
+    )
+
+
+def _campaign_document(values, results) -> dict:
+    text, calibrated = campaign_text(
+        results, values["scenario"], values["horizon"],
+        values["replications"], values["seed"],
+    )
+    return {
+        "text": text,
+        "calibrated": calibrated,
+        "campaigns": [
+            {
+                "user_class": r.user_class,
+                "scenario": r.scenario,
+                "analytic_availability": r.analytic_availability,
+                "mean_availability": r.mean_availability,
+                "stderr": r.stderr,
+            }
+            for r in results
+        ],
+    }
+
+
+SWEEP = Workload(
+    "sweep", "sweep", "sweeps",
+    "regenerate a Fig. 11/12 grid through the evaluation engine",
+    (FIGURE, ARRIVAL_RATE, SERVERS_MAX, WORKERS),
+    _run_sweep, _sweep_document,
+)
+POLICIES = Workload(
+    "policies", "policies", "policies",
+    "rank client-side resilience policies (retry, circuit breaker, "
+    "timeout, hedge) across farm fault scenarios",
+    (ARRIVAL_RATE, SERVICE_RATE, SERVERS, BUFFER) + CLIENT_POLICY
+    + (WORKERS,),
+    _run_policies, _policies_document,
+    # The policies' own cross-field rules (hedge_delay < timeout).
+    check=client_policies,
+)
+CLOUD = Workload(
+    "cloud", "cloud", "clouds",
+    "rank cloud deployments of the Travel Agency (multi-zone replica "
+    "sets, zonal common-cause failures, autoscaling M/M/c/K farm) by "
+    "user-perceived availability",
+    (ARRIVAL_RATE, SERVICE_RATE, ZONE_AVAILABILITY, WORKERS),
+    _run_cloud, _cloud_document,
+)
+CAMPAIGN = Workload(
+    "campaign", "inject", "campaigns",
+    "run a fault-injection campaign against the Travel Agency",
+    (SCENARIO, ARCHITECTURE, USER_CLASS, HORIZON, REPLICATIONS, SEED,
+     WORKERS),
+    _run_campaigns, _campaign_document,
+    # A server campaign is a short run: a request should come back in
+    # seconds, not take the CLI's 6 x 5000 h.
+    server_defaults=(("horizon", 100.0), ("replications", 4)),
+)
+
+#: Every workload the CLI and the server both serve.
+WORKLOADS = (SWEEP, POLICIES, CAMPAIGN, CLOUD)

@@ -6,6 +6,7 @@ from repro.availability import (
     ImperfectCoverageFarm,
     PerfectCoverageFarm,
     TwoStateAvailability,
+    WebServiceLossBreakdown,
     WebServiceModel,
 )
 from repro.errors import ValidationError
@@ -86,6 +87,15 @@ class TestCompositeCombination:
         assert breakdown.availability == pytest.approx(model.availability())
         assert breakdown.buffer_full >= 0
         assert breakdown.manual_reconfiguration > 0
+
+    def test_availability_of_losses_summing_past_one_is_zero(self):
+        # Cloud farms at ~1e24 requests/s reach this: every request is
+        # lost, and the loss sum rounds one step above 1.
+        over = WebServiceLossBreakdown(1.0, 2.0 ** -52, 0.0)
+        assert over.total_unavailability > 1.0
+        assert over.availability == 0.0
+        within = WebServiceLossBreakdown(0.25, 0.5, 0.125)
+        assert within.availability == 1.0 - within.total_unavailability
 
     def test_perfect_coverage_has_no_reconfiguration_loss(self):
         model = paper_model(coverage=1.0, reconfiguration_rate=None)

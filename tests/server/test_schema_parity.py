@@ -1,12 +1,14 @@
 """CLI and server validate the shared workload parameters identically.
 
-The cases are generated from the :mod:`repro.workloads` schemas, so a
-parameter added to a kind is covered on both front ends without a new
-test.
+The cases are generated from the :mod:`repro.workloads` table, so a
+workload added to it, or a parameter added to a workload, is covered on
+both front ends without a new test.
 """
 
 import contextlib
 import io
+import re
+from pathlib import Path
 
 import pytest
 
@@ -17,12 +19,13 @@ from repro.errors import ValidationError
 from repro.server import execute_job, parse_spec
 
 #: server job kind -> the CLI subcommand taking the same parameters
-KINDS = {
-    "sweep": ("sweep", workloads.SWEEP),
-    "policies": ("policies", workloads.POLICIES),
-    "campaign": ("inject", workloads.CAMPAIGN),
-    "cloud": ("cloud", workloads.CLOUD),
-}
+KINDS = {w.kind: (w.command, w.params) for w in workloads.WORKLOADS}
+
+each_workload = pytest.mark.parametrize(
+    "workload", workloads.WORKLOADS, ids=lambda w: w.kind
+)
+
+SERVER_DOC = Path(__file__).parents[2] / "docs" / "SERVER.md"
 
 
 def out_of_range(param):
@@ -126,20 +129,20 @@ def test_both_front_ends_reject_above_the_upper_bound_before_any_work(
 def test_every_size_parameter_has_an_upper_bound():
     for param in (
         workloads.SERVERS, workloads.BUFFER, workloads.BREAKER_THRESHOLD,
-        workloads.SERVERS_MAX, workloads.WORKERS,
+        workloads.SERVERS_MAX, workloads.WORKERS, workloads.REPLICATIONS,
     ):
         assert param.high is not None, param.name
 
 
-@pytest.mark.parametrize("kind", sorted(KINDS))
-def test_cli_defaults_are_the_schema_defaults(kind):
-    command, params = KINDS[kind]
-    args = vars(build_parser().parse_args([command]))
+@each_workload
+def test_cli_defaults_are_the_schema_defaults(workload):
+    params = workload.params
+    args = vars(build_parser().parse_args([workload.command]))
     assert {p.name: args[p.name] for p in params} == {
         p.name: p.default for p in params
     }
-    spec = parse_spec(kind, {})
-    server_only = {"campaign": {"horizon", "replications"}}.get(kind, set())
+    spec = parse_spec(workload.kind, {})
+    server_only = {name for name, _ in workload.server_defaults}
     assert {
         p.name: spec[p.name] for p in params if p.name not in server_only
     } == {p.name: p.default for p in params if p.name not in server_only}
@@ -155,3 +158,16 @@ def test_policies_job_text_matches_the_cli_with_policy_keys():
         ) == 0
     spec = parse_spec("policies", {"max_retries": 1, "timeout": 0.1})
     assert execute_job("policies", spec)["text"] + "\n" == buffer.getvalue()
+
+
+@each_workload
+def test_the_server_doc_job_table_names_every_param(workload):
+    (row,) = [
+        line for line in SERVER_DOC.read_text().splitlines()
+        if line.startswith(
+            f"| `POST /v1/{workload.route}` | `{workload.kind}` |"
+        )
+    ]
+    documented = set(re.findall(r"`(\w+)` \(", row))
+    assert {p.name for p in workload.params} <= documented
+    assert f"`repro {workload.command}`" in row

@@ -182,6 +182,12 @@ class TestExecuteJob:
         assert 0.99 < result["best"]["mean_availability"] < 1.0
         assert sorted(result["ranking"]) == sorted(set(result["ranking"]))
 
+    def test_cloud_at_an_extreme_arrival_rate_runs(self):
+        result = execute_job(
+            "cloud", parse_spec("cloud", {"arrival_rate": 1e24})
+        )
+        assert 0.0 <= result["best"]["mean_availability"] <= 1.0
+
     def test_unprofiled_result_has_no_profile(self):
         spec = parse_spec("sweep", {"servers_max": 2})
         assert "profile" not in execute_job("sweep", spec)

@@ -98,7 +98,16 @@ class TestEvaluateCommand:
 
     def test_unknown_user_class(self, spec_file, capsys):
         assert main(["evaluate", spec_file, "--user-class", "ghost"]) == 2
-        assert "ghost" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: user class 'ghost' is not declared in {spec_file} "
+            "(available: ['all'])\n"
+        )
+
+    def test_unknown_user_class_reraises_under_debug(self, spec_file):
+        from repro.errors import ValidationError
+
+        with pytest.raises(ValidationError, match="'ghost' is not declared"):
+            main(["--debug", "evaluate", spec_file, "--user-class", "ghost"])
 
     def test_broken_spec_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -858,7 +867,7 @@ class TestProfileCommand:
         plain = capsys.readouterr().out
         out = tmp_path / "perf"
         assert main([
-            "profile", "--out", str(out), "sweep", "--servers-max", "4",
+            "sweep", "--servers-max", "4", "--profile", str(out),
         ]) == 0
         assert capsys.readouterr().out == plain  # byte-identical
         for name in self.ARTIFACTS:
@@ -876,30 +885,6 @@ class TestProfileCommand:
         (batch,) = document["batches"]
         assert batch["phase"] == "grid failure rate x NW"
         assert batch["coverage"] >= 0.95
-
-    def test_double_dash_separator_is_stripped(self, tmp_path, capsys):
-        out = tmp_path / "sep"
-        assert main([
-            "profile", "--out", str(out), "--",
-            "sweep", "--servers-max", "4",
-        ]) == 0
-        capsys.readouterr()
-        assert (out / "attribution.json").exists()
-
-    def test_unprofileable_command_is_a_one_line_error(self, capsys):
-        assert main(["profile", "stats"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "cannot profile 'stats'" in err
-        assert "sweep" in err  # lists the profileable commands
-        assert "Traceback" not in err
-
-    def test_empty_wrapped_command_is_a_one_line_error(self, capsys):
-        assert main(["profile"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "needs a subcommand" in err
-        assert "Traceback" not in err
 
 
 class TestParser:
