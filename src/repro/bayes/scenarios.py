@@ -4,14 +4,15 @@ The unit behind ``repro cloud``: each :class:`CloudScenario` names one
 :class:`~repro.bayes.chains.CloudDeployment`, is evaluated to a
 :class:`CloudScenarioResult` (both Table 1 user classes plus the farm
 marginal), and the grid is ranked by mean user-perceived availability.
-Evaluation runs through the engine :class:`~repro.engine.TaskGraph`
-(one keyed task per scenario, so ``--workers N`` is byte-identical and
+Evaluation runs through :meth:`repro.engine.EvaluationEngine.map` (one
+keyed item per scenario, so ``--workers N`` is byte-identical and
 ``--cache-dir`` memoizes unchanged deployments across runs) — the same
 pattern as the ``repro policies`` comparison.
 """
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -95,8 +96,10 @@ def compare_cloud_scenarios(
     """Evaluate and rank *scenarios* through the evaluation engine.
 
     ``engine=None`` uses the in-process serial reference backend; any
-    worker count produces bit-identical results (cells are assembled by
-    task name, and each cell is deterministic).
+    worker count produces bit-identical results (cells are assembled in
+    scenario order, and each cell is deterministic).  Each scenario is
+    keyed by a pickle digest of the whole scenario, so a warm cache
+    skips every deployment whose parameters did not move.
     """
     if not scenarios:
         raise ValidationError(
@@ -107,19 +110,20 @@ def compare_cloud_scenarios(
         raise ValidationError(
             f"cloud scenario names must be unique, got {names}"
         )
-    from ..engine import EvaluationEngine, TaskGraph
-    from ..engine.tasks import cloud_scenario_task
+    from ..engine import EvaluationEngine, canonical_key
 
     if engine is None:
         engine = EvaluationEngine()
-    graph = TaskGraph()
-    order = []
-    for i, scenario in enumerate(scenarios):
-        name = f"scenario-{i}"
-        cloud_scenario_task(graph, name, scenario)
-        order.append(name)
-    result = engine.run_graph(graph, phase="cloud-comparison")
-    cells = tuple(result.values[name] for name in order)
+    keys = [
+        canonical_key(
+            "cloud-scenario", content=pickle.dumps(scenario, protocol=4)
+        )
+        for scenario in scenarios
+    ]
+    cells = engine.map(
+        evaluate_cloud_scenario, scenarios, keys=keys,
+        phase="cloud-comparison",
+    ).outputs
     ranking = tuple(
         sorted(cells, key=lambda cell: (-cell.mean, cell.scenario))
     )

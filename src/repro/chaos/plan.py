@@ -1,7 +1,8 @@
 """Deterministic fault-injection plans for the evaluation engine.
 
-A :class:`ChaosPlan` names, ahead of time, exactly which task indices
-of an engine batch get hurt and how: a *kill* injection terminates the
+A :class:`ChaosPlan` names, ahead of time, exactly which item indices
+of an engine :meth:`~repro.engine.EvaluationEngine.map` batch get hurt
+and how: a *kill* injection terminates the
 pool worker running the task (``os._exit``, no cleanup — the closest
 portable stand-in for an OOM kill or segfault), a *transient* injection
 raises :class:`~repro.errors.TransientTaskError` for the task's first
@@ -49,9 +50,9 @@ class ChaosPlan:
         every process of the run (the plan is pickled into pool
         workers); one plan per directory.
     kill_tasks:
-        Task indices whose worker is terminated mid-task, once each.
+        Item indices whose worker is terminated mid-task, once each.
     transient_tasks:
-        Task indices that raise
+        Item indices that raise
         :class:`~repro.errors.TransientTaskError`, once per attempt for
         the first *transient_failures* attempts.
     transient_failures:

@@ -86,15 +86,16 @@ The subcommands cover the common workflows without writing Python:
     endpoint, and an M/M/c/K admission controller that models the
     server itself (``GET /v1/self``).
 
-Long runs are bounded and interruptible: ``inject`` and ``retries``
-take ``--deadline SECONDS`` (wall clock; exceeding it exits with code 2
+Long runs are bounded and interruptible: ``inject``, ``retries``,
+``resume``, ``sweep``, ``policies``, ``cloud`` and ``chaos`` take
+``--deadline SECONDS`` (wall clock; exceeding it exits with code 2
 and, with ``--journal``, leaves a resumable journal) and ``--progress``
 (heartbeat lines on stderr).
 
-Long runs are also observable: ``sweep``/``inject``/``retries``/
-``resume`` take ``--metrics PATH`` (a :mod:`repro.obs` registry
-snapshot, rendered by ``repro stats``) and ``--trace PATH`` (a Chrome
-trace-event JSONL span timeline), plus ``--profile DIR`` (performance
+The same seven commands are also observable: they take ``--metrics
+PATH`` (a :mod:`repro.obs` registry snapshot, rendered by ``repro
+stats``) and ``--trace PATH`` (a Chrome trace-event JSONL span
+timeline), plus ``--profile DIR`` (performance
 attribution, :mod:`repro.obs.perf`: per-event-type kernel accounting,
 an engine phase/idle :class:`~repro.obs.AttributionReport` and a
 deterministic counter-triggered flamegraph); all files are written even
@@ -447,10 +448,7 @@ def _cmd_resume(args) -> int:
         start["seed"],
         title_prefix="Resumed fault-injection campaign",
     )
-    print(text)
-    if calibrated is not None:
-        return 0 if calibrated else 1
-    return 0
+    return _print_result({"text": text, "calibrated": calibrated})
 
 
 def _retry_sim_cell(spec, cancellation=None):

@@ -2,17 +2,16 @@
 
 Every headline artifact of the paper — the Table 5–8 availability
 figures, the Fig. 11–13 sensitivity curves — is the output of many
-near-identical model evaluations: CTMC solves, M/M/c/K formula batches,
-DES replications, and derived table cells combining them.  This package
-is the execution layer that runs such batches fast without changing a
-single digit of their results:
+near-identical model evaluations, and so are the extensions: the
+client-policy and cloud-deployment grids and the fault-injection
+campaigns.  This package is the execution layer that runs such batches
+fast without changing a single digit of their results:
 
-* :mod:`~repro.engine.tasks` — :class:`TaskGraph`: evaluation units
-  with explicit dependencies, plus helper constructors for the four
-  canonical unit types;
-* :mod:`~repro.engine.executor` — :class:`EvaluationEngine`: a serial
-  reference backend and a *supervised* process-pool backend producing
-  bit-identical outputs, with cooperative cancellation
+* :mod:`~repro.engine.executor` — :class:`EvaluationEngine`, whose one
+  entry point :meth:`~EvaluationEngine.map` evaluates a work function
+  over independent keyed items: a serial reference backend and a
+  *supervised* process-pool backend producing bit-identical outputs,
+  with cooperative cancellation
   (:class:`~repro.runtime.CancellationToken`), heartbeats, journaled
   resume for interrupted parallel runs, worker-crash respawn, and
   per-task retry under a :class:`TaskRetryPolicy`
@@ -20,47 +19,27 @@ single digit of their results:
 * :mod:`~repro.engine.cache` — :class:`MemoCache`: a content-addressed
   memo store (in-memory LRU + optional on-disk level) keyed by
   :func:`canonical_key` hashes of the full evaluation spec, with
-  hit/miss/eviction statistics on every result object;
-* vectorized batch kernels for the hot queueing paths live with the
-  math in :mod:`repro.queueing.batch` and are exposed to graphs through
-  :func:`~repro.engine.tasks.queueing_batch_task`.
+  hit/miss/eviction statistics on every result object.
 
-The consumers are :func:`repro.sensitivity.sweep` / ``grid_sweep``
-(``engine=`` parameter), :func:`repro.resilience.run_campaign`
-(``workers=`` parameter), :func:`repro.ta.report.availability_report`
-(``engine=`` parameter), and the ``repro sweep`` CLI subcommand.  See
-``docs/PERFORMANCE.md`` for the architecture, the determinism contract,
-and the cache-key scheme.
+Each workload builds its own items and keys next to its grid:
+:func:`repro.sensitivity.sweep` / ``grid_sweep`` (``engine=``
+parameter), :func:`repro.resilience.run_campaign` (``workers=``
+parameter), :func:`repro.ta.report.availability_report`,
+:func:`repro.resilience.compare_client_policies` and
+:func:`repro.bayes.compare_cloud_scenarios` (``engine=`` parameter).
+See ``docs/PERFORMANCE.md`` for the architecture, the determinism
+contract, and the cache-key scheme.
 """
 
 from .cache import CacheStats, MemoCache, canonical_key
-from .executor import BatchResult, EvaluationEngine, GraphResult
+from .executor import BatchResult, EvaluationEngine
 from .retry import TaskRetryPolicy
-from .tasks import (
-    Task,
-    TaskGraph,
-    client_policy_task,
-    cloud_scenario_task,
-    ctmc_steady_state_task,
-    derived_task,
-    des_replication_task,
-    queueing_batch_task,
-)
 
 __all__ = [
     "BatchResult",
     "CacheStats",
     "EvaluationEngine",
-    "GraphResult",
     "MemoCache",
-    "Task",
-    "TaskGraph",
     "TaskRetryPolicy",
     "canonical_key",
-    "client_policy_task",
-    "cloud_scenario_task",
-    "ctmc_steady_state_task",
-    "derived_task",
-    "des_replication_task",
-    "queueing_batch_task",
 ]

@@ -1,35 +1,30 @@
 """The batch evaluation engine: parallel, cache-aware, resumable.
 
-:class:`EvaluationEngine` has two entry points over one dispatch core.
-:meth:`~EvaluationEngine.map` evaluates independent items, and
-:meth:`~EvaluationEngine.run_graph` a
-:class:`~repro.engine.tasks.TaskGraph`.  Each hands the core an indexed
-task list of ``(fn, args, key, deps)``, with dependencies as indices;
-a graph is listed in its topological order.  The core applies one set
-of rules to both:
+:class:`EvaluationEngine` has one entry point,
+:meth:`~EvaluationEngine.map`, which evaluates ``fn(item)`` for a list
+of independent items.  Every workload runs through it: the Fig. 11/12
+sweeps, Table 8, fault-injection campaigns, the client-policy and cloud
+comparison grids, and ``retries --simulate``.  One set of rules applies:
 
-* Journal restores come first (``map`` only), then every keyed task is
-  looked up in the cache before anything runs.  Keys are fixed when a
-  task is built, so no lookup waits on a dependency.
-* With ``workers=1``, or at most one task left to compute, the batch
+* Journal restores come first, then every keyed item is looked up in
+  the cache before anything runs.
+* With ``workers=1``, or at most one item left to compute, the batch
   runs in-process and no pool is built.
 * Otherwise one supervised pool of ``min(workers, pending)`` processes
-  runs the rest.  Ready tasks are submitted in list order, and a
-  dependent task once its dependencies have completed.  The work
-  functions are checked for picklability once, before the pool is
-  built.
-* Chaos injections fire by task position in the list.
+  runs the rest, submitted in item order.  The work function is checked
+  for picklability once, before the pool is built.
+* Chaos injections fire by item index.
 
-Behind both entry points sit the same guarantees:
+Behind the entry point sit these guarantees:
 
-**Determinism.**  Results are assembled by task index/name, never by
+**Determinism.**  Results are assembled by item index, never by
 completion order, so a run with ``workers=4`` is bit-identical to
 ``workers=1``.  Stochastic tasks must draw from per-task
 :class:`numpy.random.SeedSequence` streams carried in their arguments
-(the campaign and DES helpers already do); the engine itself introduces
+(the campaign replications already do); the engine itself introduces
 no randomness.
 
-**Caching.**  Tasks carrying a content-addressed key
+**Caching.**  Items carrying a content-addressed key
 (:func:`~repro.engine.canonical_key`) are memoized in the engine's
 :class:`~repro.engine.MemoCache`; per-run hit/miss/eviction deltas are
 exposed on every result object.
@@ -39,11 +34,10 @@ before every dispatch and between completions.  Cancellation is
 cooperative at task granularity: in-flight worker tasks finish, pending
 ones are dropped, and already-journaled results survive.
 
-**Resume.**  With a journal attached to :meth:`~EvaluationEngine.map`,
-every completed task is durably recorded (key + JSON value); re-running
-the same batch over the same journal restores completed tasks and
-computes only the rest — the same contract campaigns have, now for
-arbitrary parallel batches.
+**Resume.**  With a journal attached, every completed task is durably
+recorded (key + JSON value); re-running the same batch over the same
+journal restores completed tasks and computes only the rest — the same
+contract campaigns have, for arbitrary parallel batches.
 
 **Fault tolerance.**  The process-pool backend is *supervised*: a
 worker that dies mid-task (OOM kill, segfault, chaos injection) breaks
@@ -55,7 +49,7 @@ re-dispatching only the tasks that had not completed — up to
 tasks that fail with *retryable* exceptions (by default
 :class:`~repro.errors.TransientTaskError`); exhausted retries re-raise
 the last failure.  Both mechanisms preserve determinism — results are
-still assembled by index/name, so a run that survived crashes is
+still assembled by index, so a run that survived crashes is
 bit-identical to an undisturbed serial run.
 
 The serial backend (``workers=1``, the default) is the reference
@@ -85,7 +79,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -102,7 +95,6 @@ from ..runtime.heartbeat import HeartbeatCallback, ProgressEvent
 from ..runtime.journal import Journal, read_journal, record_index
 from .cache import CacheStats, MemoCache
 from .retry import TaskRetryPolicy
-from .tasks import TaskGraph
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..chaos.plan import ChaosPlan
@@ -110,7 +102,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from ..obs.perf import BatchPerf, PerfRecorder
     from ..obs.tracing import Tracer
 
-__all__ = ["EvaluationEngine", "BatchResult", "GraphResult"]
+__all__ = ["EvaluationEngine", "BatchResult"]
 
 JournalLike = Union[Journal, str, Path]
 
@@ -129,19 +121,6 @@ def _stats_delta(before: CacheStats, after: CacheStats) -> CacheStats:
             after.disk_write_failures - before.disk_write_failures
         ),
     )
-
-
-class _Task(NamedTuple):
-    """One unit of the dispatch core: ``fn(*args, *dep_results)``.
-
-    *deps* are indices of earlier tasks in the same list; *key* is the
-    task's cache key (``None`` bypasses the cache).
-    """
-
-    fn: Callable[..., Any]
-    args: Tuple[Any, ...]
-    key: Optional[str]
-    deps: Tuple[int, ...] = ()
 
 
 class _RunCounters:
@@ -200,33 +179,13 @@ class BatchResult:
         return len(self.outputs)
 
 
-@dataclass(frozen=True)
-class GraphResult:
-    """Outcome of one :meth:`EvaluationEngine.run_graph` call.
-
-    ``values`` maps every task name to its result; the remaining fields
-    match :class:`BatchResult`.
-    """
-
-    values: Dict[str, Any]
-    cache_stats: CacheStats
-    executed: int
-    workers: int
-    elapsed: float
-    retries: int = 0
-    respawns: int = 0
-
-    def __getitem__(self, name: str) -> Any:
-        return self.values[name]
-
-
 def _timed_call(
     metrics: Optional["MetricsRegistry"],
     tracer: Optional["Tracer"],
     perf: Optional["PerfRecorder"],
     phase: str,
-    fn: Callable[..., Any],
-    args: Tuple[Any, ...],
+    fn: Callable[[Any], Any],
+    item: Any,
     **attrs: Any,
 ) -> Tuple[Any, Optional[float], float]:
     """Run one task as an ``engine task``: the one place it is observed.
@@ -244,9 +203,9 @@ def _timed_call(
     if tracer is not None:
         with tracer.span("engine task", category="engine", phase=phase,
                          **attrs):
-            value = fn(*args)
+            value = fn(item)
     else:
-        value = fn(*args)
+        value = fn(item)
     duration = monotonic() - started
     if metrics is not None:
         metrics.histogram(
@@ -265,8 +224,8 @@ def _worker_call(
     instrument: bool,
     ctx: Optional[Dict[str, Any]],
     phase: str,
-    fn: Callable[..., Any],
-    args: Tuple[Any, ...],
+    fn: Callable[[Any], Any],
+    item: Any,
     perf: bool = False,
 ) -> Any:
     """Worker-side task entry point for chaos plans and instrumentation.
@@ -289,7 +248,7 @@ def _worker_call(
     if chaos is not None:
         chaos.before_task(index, in_worker=True)
     if not instrument:
-        return fn(*args)
+        return fn(item)
     from ..obs.context import instrumented
     from ..obs.metrics import MetricsRegistry
     from ..obs.tracing import SpanContext, Tracer
@@ -305,7 +264,7 @@ def _worker_call(
         recorder = PerfRecorder()
     with instrumented(metrics=registry, tracer=tracer, perf=recorder):
         value, wall_start, duration = _timed_call(
-            registry, tracer, recorder, phase, fn, args
+            registry, tracer, recorder, phase, fn, item
         )
     payload = tracer.payload() if tracer is not None else None
     record = None
@@ -333,10 +292,10 @@ def _json_safe(value: Any) -> Any:
 class EvaluationEngine:
     """Cache-aware batch executor with serial and process-pool backends.
 
-    :meth:`map` and :meth:`run_graph` are thin adapters over one
-    dispatch core (see the module docstring for its rules): both share
-    the cache lookups, the in-process loop, the supervised pool with its
-    retries and respawns, and the per-task instrumentation.
+    :meth:`map` is the one entry point (see the module docstring for its
+    rules): cache lookups, the in-process loop, the supervised pool with
+    its retries and respawns, and the per-task instrumentation all serve
+    it.
 
     Parameters
     ----------
@@ -364,11 +323,9 @@ class EvaluationEngine:
         exhausted — propagates unchanged.
     chaos:
         Optional :class:`~repro.chaos.ChaosPlan` wired into every task
-        of :meth:`map` and :meth:`run_graph` (serial and worker-side),
-        used by the deterministic chaos harness to inject worker kills
-        and transient faults at planned task positions: the item index
-        for :meth:`map`, the position in the graph's topological order
-        for :meth:`run_graph`.  Production runs leave it None.
+        of :meth:`map` (serial and worker-side), used by the
+        deterministic chaos harness to inject worker kills and transient
+        faults at planned item indices.  Production runs leave it None.
     max_respawns:
         Worker-pool generations the supervisor may spawn to replace dead
         workers before declaring the batch failed.
@@ -495,11 +452,10 @@ class EvaluationEngine:
     def _call_serial(
         self,
         index: int,
-        fn: Callable[..., Any],
-        args: Tuple[Any, ...],
+        fn: Callable[[Any], Any],
+        item: Any,
         phase: str,
         counters: _RunCounters,
-        attrs: Dict[str, Any],
     ) -> Tuple[Any, int, Optional[float], float]:
         """Run task *index* in-process under the retry policy.
 
@@ -515,7 +471,7 @@ class EvaluationEngine:
                     self.chaos.before_task(index, in_worker=False)
                 value, wall_start, duration = _timed_call(
                     self._metrics, self._tracer, self._perf, phase, fn,
-                    args, **attrs
+                    item, index=index
                 )
                 return value, attempt, wall_start, duration
             except BaseException as exc:
@@ -540,12 +496,12 @@ class EvaluationEngine:
         return value
 
     def _time_serialization(
-        self, batch: Optional["BatchPerf"], fn: Callable[..., Any],
-        args: Tuple[Any, ...],
+        self, batch: Optional["BatchPerf"], fn: Callable[[Any], Any],
+        item: Any,
     ) -> None:
         """Measure what shipping this task costs in pickle time/bytes.
 
-        The pool pickles ``(fn, args)`` itself on submit; re-pickling
+        The pool pickles ``(fn, item)`` itself on submit; re-pickling
         here is the measured proxy for that cost (only when a perf
         recorder is attached), credited to the serialization bucket.
         """
@@ -553,7 +509,7 @@ class EvaluationEngine:
             return
         started = monotonic()
         try:
-            payload = pickle.dumps((fn, args))
+            payload = pickle.dumps((fn, item))
         except Exception:
             return
         batch.add_serialization(monotonic() - started, len(payload))
@@ -655,62 +611,23 @@ class EvaluationEngine:
                     raise EngineError(
                         f"got {len(keys)} cache keys for {len(items)} items"
                     )
-            tasks = [
-                _Task(fn, (item,), key) for item, key in zip(items, keys)
-            ]
-            return self._execute(tasks, phase, journal=journal,
-                                 on_result=on_result)
+            return self._execute(fn, items, keys, phase, journal, on_result)
 
-    def run_graph(self, graph: TaskGraph, phase: str = "graph") -> GraphResult:
-        """Execute a :class:`~repro.engine.tasks.TaskGraph`.
+    # The traced ledger runs (perfbench/layers.py) still probe this
+    # name; it goes when the benchmark's probe list drops it.
+    run_graph = map
 
-        Tasks run as soon as their dependencies are available —
-        independent tasks in parallel under a process pool.  Keyed tasks
-        are memoized (all looked up before any task runs); results are
-        returned by name.
-
-        Raises
-        ------
-        EngineError
-            On graph defects (via
-            :meth:`~repro.engine.tasks.TaskGraph.topological_order`) or
-            unpicklable task functions under a process pool.
-        """
-        with self._span(f"run_graph {phase}"):
-            order = graph.topological_order()
-            position = {name: index for index, name in enumerate(order)}
-            tasks = []
-            for name in order:
-                task = graph.task(name)
-                deps = tuple(position[dep] for dep in task.deps)
-                tasks.append(_Task(task.fn, task.args, task.key, deps))
-            batch = self._execute(tasks, phase, names=order)
-        return GraphResult(
-            values=dict(zip(order, batch.outputs)),
-            cache_stats=batch.cache_stats,
-            executed=batch.executed,
-            workers=batch.workers,
-            elapsed=batch.elapsed,
-            retries=batch.retries,
-            respawns=batch.respawns,
-        )
-
-    # -- the dispatch core ---------------------------------------------
     def _execute(
         self,
-        tasks: Sequence[_Task],
+        fn: Callable[[Any], Any],
+        items: List[Any],
+        keys: List[Optional[str]],
         phase: str,
-        names: Optional[Sequence[str]] = None,
-        journal: Optional[JournalLike] = None,
-        on_result: Optional[Callable[[int, Any], None]] = None,
+        journal: Optional[JournalLike],
+        on_result: Optional[Callable[[int, Any], None]],
     ) -> BatchResult:
-        """Run an indexed task list; the core behind both entry points.
-
-        Tasks must be in dependency order (every dep index below its
-        dependent's).  *names* labels spans and heartbeats with task
-        names instead of indices.
-        """
-        total = len(tasks)
+        """Run one :meth:`map` batch: restore, look up, compute, record."""
+        total = len(items)
         before = self.cache.stats
         started = monotonic()
         bperf = (
@@ -723,7 +640,7 @@ class EvaluationEngine:
         restored: Dict[int, Any] = {}
         if journal is not None:
             path = journal.path if isinstance(journal, Journal) else Path(journal)
-            restored = self._restore_from_journal(path, phase, tasks)
+            restored = self._restore_from_journal(path, phase, keys)
             if owns_journal:
                 journal = Journal(path)
             if journal.next_seq == 0:
@@ -733,13 +650,13 @@ class EvaluationEngine:
         try:
             outputs: List[Any] = [None] * total
             pending: List[int] = []
-            for index, task in enumerate(tasks):
+            for index, key in enumerate(keys):
                 if index in restored:
                     outputs[index] = restored[index]
                     continue
-                if task.key is not None:
+                if key is not None:
                     lookup_started = monotonic()
-                    hit, value = self.cache.lookup(task.key)
+                    hit, value = self.cache.lookup(key)
                     if bperf is not None:
                         bperf.add_cache(monotonic() - lookup_started)
                     if hit:
@@ -752,20 +669,11 @@ class EvaluationEngine:
                 f"{len(restored)} restored, {done - len(restored)} cached",
             )
 
-            def args_of(index: int) -> Tuple[Any, ...]:
-                task = tasks[index]
-                return task.args + tuple(outputs[dep] for dep in task.deps)
-
-            def attrs_of(index: int) -> Dict[str, Any]:
-                if names is None:
-                    return {"index": index}
-                return {"task": names[index]}
-
             def complete(index: int, value: Any, attempts: int) -> None:
                 nonlocal done
                 outputs[index] = value
                 done += 1
-                key = tasks[index].key
+                key = keys[index]
                 if key is not None:
                     put_started = monotonic()
                     self.cache.put(key, value)
@@ -784,8 +692,7 @@ class EvaluationEngine:
                         bperf.add_serialization(monotonic() - append_started)
                 if on_result is not None:
                     on_result(index, value)
-                self._beat(phase, done, total,
-                           "" if names is None else names[index])
+                self._beat(phase, done, total)
 
             # Attribution counts the slots that actually ran: one for the
             # in-process loop, the pool's size otherwise.
@@ -795,8 +702,7 @@ class EvaluationEngine:
                     self._check()
                     value, attempts, wall_start, duration = (
                         self._call_serial(
-                            index, tasks[index].fn, args_of(index), phase,
-                            counters, attrs_of(index),
+                            index, fn, items[index], phase, counters
                         )
                     )
                     if bperf is not None:
@@ -804,8 +710,8 @@ class EvaluationEngine:
                     complete(index, value, attempts)
             else:
                 slots = min(self.workers, len(pending))
-                self._run_pool(tasks, pending, args_of, attrs_of, complete,
-                               phase, counters, bperf)
+                self._run_pool(fn, items, pending, complete, phase, counters,
+                               bperf)
 
             if journal is not None and total and done == total:
                 # Idempotent end marker (skipped when resuming past one).
@@ -834,10 +740,9 @@ class EvaluationEngine:
 
     def _run_pool(
         self,
-        tasks: Sequence[_Task],
+        fn: Callable[[Any], Any],
+        items: Sequence[Any],
         pending: Sequence[int],
-        args_of: Callable[[int], Tuple[Any, ...]],
-        attrs_of: Callable[[int], Dict[str, Any]],
         complete: Callable[[int, Any, int], None],
         phase: str,
         counters: _RunCounters,
@@ -849,23 +754,15 @@ class EvaluationEngine:
         remaining task completes or the pool breaks (a worker died).  A
         broken pool costs one respawn from the ``max_respawns`` budget;
         the next pass re-dispatches exactly the tasks that had not
-        completed (their completed dependencies stay completed), so
-        supervised output is bit-identical to serial.
+        completed, so supervised output is bit-identical to serial.
         """
-        fns = {id(tasks[index].fn): tasks[index].fn for index in pending}
-        for fn in fns.values():
-            self._require_picklable(fn)
-        dependents: Dict[int, List[int]] = {}
-        for index in pending:
-            for dep in dict.fromkeys(tasks[index].deps):
-                dependents.setdefault(dep, []).append(index)
+        self._require_picklable(fn)
         remaining: Set[int] = set(pending)
         attempts: Dict[int, int] = {}
         while remaining:
             try:
-                self._pool_pass(tasks, remaining, dependents, attempts,
-                                args_of, attrs_of, complete, phase, counters,
-                                bperf)
+                self._pool_pass(fn, items, remaining, attempts, complete,
+                                phase, counters, bperf)
             except BrokenExecutor:
                 counters.respawns += 1
                 if counters.respawns > self.max_respawns:
@@ -878,12 +775,10 @@ class EvaluationEngine:
 
     def _pool_pass(
         self,
-        tasks: Sequence[_Task],
+        fn: Callable[[Any], Any],
+        items: Sequence[Any],
         remaining: Set[int],
-        dependents: Dict[int, List[int]],
         attempts: Dict[int, int],
-        args_of: Callable[[int], Tuple[Any, ...]],
-        attrs_of: Callable[[int], Dict[str, Any]],
         complete: Callable[[int, Any, int], None],
         phase: str,
         counters: _RunCounters,
@@ -902,30 +797,29 @@ class EvaluationEngine:
                 # spans parent under it and are re-based onto this
                 # timeline when the result is unwrapped.
                 self._check()
-                fn, args = tasks[index].fn, args_of(index)
-                self._time_serialization(bperf, fn, args)
+                item = items[index]
+                self._time_serialization(bperf, fn, item)
                 if self.chaos is None and not instrument:
-                    futures[pool.submit(fn, *args)] = index
+                    futures[pool.submit(fn, item)] = index
                     return
                 ctx = None
                 if self._tracer is not None:
                     with self._tracer.span(
                         "engine submit", category="engine", phase=phase,
-                        **attrs_of(index),
+                        index=index,
                     ):
                         ctx = self._tracer.context().as_dict()
                 future = pool.submit(
                     _worker_call, self.chaos, index, instrument, ctx, phase,
-                    fn, args, self._perf is not None,
+                    fn, item, self._perf is not None,
                 )
                 futures[future] = index
 
             try:
                 # On a respawn pass this re-collects exactly the
-                # incomplete tasks whose dependencies have completed.
+                # incomplete tasks.
                 for index in sorted(remaining):
-                    if remaining.isdisjoint(tasks[index].deps):
-                        submit(index)
+                    submit(index)
                 while futures:
                     self._check()
                     if bperf is not None:
@@ -949,9 +843,6 @@ class EvaluationEngine:
                             value = self._unwrap_instrumented(value, bperf)
                         complete(index, value, attempts.get(index, 1))
                         remaining.discard(index)
-                        for dependent in dependents.get(index, ()):
-                            if remaining.isdisjoint(tasks[dependent].deps):
-                                submit(dependent)
             except BaseException:
                 for future in futures:
                     future.cancel()
@@ -959,9 +850,9 @@ class EvaluationEngine:
 
     @staticmethod
     def _restore_from_journal(
-        path: Path, phase: str, tasks: Sequence[_Task]
+        path: Path, phase: str, keys: Sequence[Optional[str]]
     ) -> Dict[int, Any]:
-        total = len(tasks)
+        total = len(keys)
         records = read_journal(path, missing_ok=True)
         if not records:
             return {}
@@ -990,7 +881,7 @@ class EvaluationEngine:
                 raise ResumeError(
                     f"journal {path} task {index} record has no value"
                 )
-            key = tasks[index].key
+            key = keys[index]
             if key is not None and record.get("key") != key:
                 raise ResumeError(
                     f"journal {path} task {index} was computed under a "

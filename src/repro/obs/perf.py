@@ -403,7 +403,7 @@ class AttributionReport:
 class BatchPerf:
     """Mutable builder for one batch's :class:`AttributionReport`.
 
-    The engine creates one per ``map``/``run_graph`` batch, feeds it
+    The engine creates one per ``map`` batch, feeds it
     execute windows / serialization / cache timings as they happen, and
     calls :meth:`finish` once at the end.
     """

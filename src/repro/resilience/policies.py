@@ -44,14 +44,16 @@ evaluating the success probability.
 All three reduce a policy to one number per *farm fault state* — the
 building block :func:`compare_client_policies` sweeps over a grid of
 {retry, circuit-breaker, timeout, hedge} policies times
-:class:`FarmFaultScenario` states through the
-:class:`repro.engine.TaskGraph` machinery, producing a ranked
+:class:`FarmFaultScenario` states through
+:meth:`repro.engine.EvaluationEngine.map`, producing a ranked
 :class:`PolicyComparisonReport` (CLI: ``repro policies``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import pickle
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
@@ -724,6 +726,19 @@ def evaluate_policy_cell(
     )
 
 
+def _evaluate_grid_cell(
+    cell: Tuple[ClientPolicy, FarmFaultScenario],
+    arrival_rate: float,
+    service_rate: float,
+    capacity: int,
+) -> PolicyCell:
+    """:func:`evaluate_policy_cell` over one ``(policy, scenario)`` item."""
+    policy, scenario = cell
+    return evaluate_policy_cell(
+        policy, scenario, arrival_rate, service_rate, capacity
+    )
+
+
 def _rank(
     cells: Sequence[PolicyCell],
     scenarios: Sequence[FarmFaultScenario],
@@ -759,10 +774,9 @@ def compare_client_policies(
 ) -> PolicyComparisonReport:
     """Run the policy x fault-scenario comparison grid.
 
-    Every (policy, scenario) cell becomes one keyed task of a
-    :class:`repro.engine.TaskGraph`
-    (:func:`repro.engine.client_policy_task`), so the grid flows through
-    the same cache/parallel/resume/observability machinery as the
+    Every (policy, scenario) cell becomes one keyed item of an
+    :meth:`repro.engine.EvaluationEngine.map` batch, so the grid flows
+    through the same cache/parallel/observability machinery as the
     Fig. 11/12 sweeps: a process-pool engine evaluates cells in parallel
     with bit-identical results, a warm :class:`~repro.engine.MemoCache`
     skips unchanged cells, and engine metrics/traces cover the run.
@@ -808,24 +822,31 @@ def compare_client_policies(
     check_rate(service_rate, "service_rate")
     check_positive_int(capacity, "capacity")
 
-    from ..engine import EvaluationEngine, TaskGraph, client_policy_task
+    from ..engine import EvaluationEngine, canonical_key
 
     if engine is None:
         engine = EvaluationEngine()
-    graph = TaskGraph()
-    order = []
-    for i, policy in enumerate(policies):
-        for j, scenario in enumerate(scenarios):
-            name = f"cell-{i}-{j}"
-            client_policy_task(
-                graph, name, policy, scenario,
-                arrival_rate=arrival_rate,
-                service_rate=service_rate,
-                capacity=capacity,
-            )
-            order.append(name)
-    result = engine.run_graph(graph, phase="policy-comparison")
-    cells = tuple(result.values[name] for name in order)
+    farm = dict(
+        arrival_rate=float(arrival_rate),
+        service_rate=float(service_rate),
+        capacity=int(capacity),
+    )
+    grid = [(policy, scenario) for policy in policies
+            for scenario in scenarios]
+    # A cell's key covers the nominal farm plus a pickle digest of the
+    # policy and scenario dataclasses, so a warm cache skips every
+    # unchanged cell when only part of the grid moves.
+    keys = [
+        canonical_key(
+            "client-policy-cell", **farm,
+            content=pickle.dumps(cell, protocol=4),
+        )
+        for cell in grid
+    ]
+    cells = engine.map(
+        functools.partial(_evaluate_grid_cell, **farm), grid, keys=keys,
+        phase="policy-comparison",
+    ).outputs
     return PolicyComparisonReport(
         cells=cells,
         ranking=_rank(cells, scenarios),

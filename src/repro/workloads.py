@@ -281,8 +281,10 @@ USER_CLASS = Param(
     "user_class", str, "both", choices=("A", "B", "both"),
     help="which Table 1 user class to evaluate",
 )
+#: Bounds how long one replication runs, which is how long a parallel
+#: campaign may run on after it is cancelled.
 HORIZON = Param(
-    "horizon", float, 5000.0, low=0.0, low_open=True,
+    "horizon", float, 5000.0, low=0.0, low_open=True, high=100_000.0,
     help="simulated hours per replication",
 )
 #: Bounds the replications' seed streams, spawned before the first

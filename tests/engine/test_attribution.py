@@ -5,16 +5,12 @@ import os
 
 import pytest
 
-from repro.engine import EvaluationEngine, TaskGraph
+from repro.engine import EvaluationEngine
 from repro.obs import MetricsRegistry, PerfRecorder
 
 
 def _cube(x):
     return x ** 3
-
-
-def _add(a, b):
-    return a + b
 
 
 def _des_burst(n):
@@ -34,13 +30,10 @@ def _des_burst(n):
     return sim.events_processed
 
 
-def _graph(recorder=None, workers=1):
-    engine = EvaluationEngine(workers=workers, perf=recorder)
-    graph = TaskGraph()
-    graph.add("a", _cube, args=(2.0,))
-    graph.add("b", _cube, args=(3.0,))
-    graph.add("c", _add, deps=("a", "b"))
-    return engine.run_graph(graph, phase="test-graph").values
+def _grid(recorder=None):
+    """A three-item batch under its own phase, as the grids run."""
+    engine = EvaluationEngine(perf=recorder)
+    return engine.map(_cube, [2.0, 3.0, 4.0], phase="test-graph").outputs
 
 
 class TestSerialAttribution:
@@ -67,15 +60,14 @@ class TestSerialAttribution:
 
     def test_graph_produces_report(self):
         recorder = PerfRecorder()
-        results = _graph(recorder)
-        assert results["c"] == pytest.approx(35.0)
+        assert _grid(recorder) == (8.0, 27.0, 64.0)
         (report,) = recorder.batches
         assert report.phase == "test-graph"
         assert report.tasks == 3
         assert report.coverage >= 0.95
 
     def test_graph_results_identical_with_and_without_perf(self):
-        assert _graph(PerfRecorder()) == _graph(None)
+        assert _grid(PerfRecorder()) == _grid(None)
 
     def test_disabled_engine_records_nothing(self):
         engine = EvaluationEngine()

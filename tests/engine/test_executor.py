@@ -4,6 +4,7 @@ The serial backend (``workers=1``) is the reference implementation;
 every parallel/cached/resumed path must reproduce it bit for bit.
 """
 
+import functools
 import math
 import os
 import re
@@ -14,7 +15,6 @@ from repro.chaos import ChaosPlan, plan_transient_faults
 from repro.engine import (
     EvaluationEngine,
     MemoCache,
-    TaskGraph,
     TaskRetryPolicy,
     canonical_key,
 )
@@ -48,10 +48,6 @@ def _die_once(marker, x):
     os._exit(113)
 
 
-def _add(x, y):
-    return x + y
-
-
 def _boom_on_42(x):
     if x == 42:
         raise ValueError("boom 42")
@@ -70,24 +66,6 @@ def _blocking(spec):
 
 def _keys(items):
     return [canonical_key("cube", x=float(x)) for x in items]
-
-
-def _run(engine, entry, fn, items):
-    """Evaluate *fn* over *items* through ``map`` or an edgeless graph.
-
-    Returns ``(outputs in item order, result object)``.
-    """
-    if entry == "map":
-        result = engine.map(fn, items)
-        return result.outputs, result
-    graph = TaskGraph()
-    for index, item in enumerate(items):
-        graph.add(f"t{index}", fn, args=(item,))
-    result = engine.run_graph(graph)
-    return tuple(result[f"t{index}"] for index in range(len(items))), result
-
-
-ENTRIES = pytest.mark.parametrize("entry", ["map", "run_graph"])
 
 
 class TestSerialMap:
@@ -129,12 +107,10 @@ class TestParallelMap:
         with pytest.raises(EngineError, match="worker processes"):
             EvaluationEngine(workers=2).map(lambda x: x, [1, 2, 3])
 
-    @ENTRIES
-    def test_single_pending_task_stays_in_process(self, entry):
+    def test_single_pending_task_stays_in_process(self):
         # One pending task never pays for a pool — closures still work.
         engine = EvaluationEngine(workers=4)
-        outputs, _ = _run(engine, entry, lambda x: -x, [5.0])
-        assert outputs == (-5.0,)
+        assert engine.map(lambda x: -x, [5.0]).outputs == (-5.0,)
 
 
 class TestCaching:
@@ -333,72 +309,31 @@ class TestSupervision:
         with pytest.raises(ChaosError, match="workers >= 2"):
             EvaluationEngine(chaos=plan).map(_cube, [1.0, 2.0])
 
-    def test_graph_survives_a_worker_kill(self, tmp_path):
+    def test_unplanned_worker_death_recovers(self, tmp_path):
+        # A worker that really dies (no chaos plan) on the plain submit
+        # path costs one respawn and nothing else.
         marker = tmp_path / "die-once"
-
-        def build():
-            graph = TaskGraph()
-            for i in range(4):
-                graph.add(f"t{i}", _die_once, args=(str(marker), float(i)))
-            return graph
-
-        # Disarm the kill for the in-process reference run: an armed
-        # marker would take down the test process itself.
-        marker.touch()
-        reference = EvaluationEngine().run_graph(build())
-
-        marker.unlink()  # re-arm for the supervised pool run
-        survived = EvaluationEngine(workers=2).run_graph(build())
-        assert survived.values == reference.values
-        assert survived.respawns == 1
-
-    def test_dependency_chain_survives_a_kill_and_a_retry(self, tmp_path):
-        def build():
-            graph = TaskGraph()
-            graph.add("a", _cube, args=(2.0,))
-            graph.add("b", _add, args=(1.0,), deps=("a",))
-            graph.add("c", _add, args=(10.0,), deps=("b",))
-            graph.add("d", _cube, args=(3.0,))
-            return graph
-
-        graph = build()
-        # Chaos fires by position in the topological order.
-        order = graph.topological_order()
-        assert order == ("a", "d", "b", "c")
-        reference = EvaluationEngine().run_graph(graph)
-        plan = ChaosPlan(
-            state_dir=str(tmp_path / "state"),
-            kill_tasks=(order.index("b"),),
-            transient_tasks=(order.index("c"),),
+        items = [0.0, 1.0, 2.0, 3.0]
+        survived = EvaluationEngine(workers=2).map(
+            functools.partial(_die_once, str(marker)), items
         )
-        survived = EvaluationEngine(
-            workers=2, chaos=plan, retry=TaskRetryPolicy()
-        ).run_graph(build())
-        assert survived.values == reference.values
-        assert survived.values == {"a": 8.0, "b": 9.0, "c": 19.0, "d": 27.0}
+        assert survived.outputs == (0.0, 2.0, 4.0, 6.0)
         assert survived.respawns == 1
-        assert survived.retries == 1
-        assert plan.fired() == 2
 
 
 class TestTaskRetry:
-    @ENTRIES
-    def test_transient_faults_retry_to_identical_outputs(self, tmp_path,
-                                                          entry):
+    def test_transient_faults_retry_to_identical_outputs(self, tmp_path):
         items = [1.0, 2.0, 3.0, 4.0, 5.0]
-        reference, _ = _run(EvaluationEngine(), entry, _cube, items)
+        reference = EvaluationEngine().map(_cube, items).outputs
         for workers in (1, 2):
             plan = plan_transient_faults(
                 len(items), seed=0, count=2,
                 state_dir=str(tmp_path / f"state-{workers}"),
             )
-            outputs, result = _run(
-                EvaluationEngine(
-                    workers=workers, chaos=plan, retry=TaskRetryPolicy()
-                ),
-                entry, _cube, items,
-            )
-            assert outputs == reference
+            result = EvaluationEngine(
+                workers=workers, chaos=plan, retry=TaskRetryPolicy()
+            ).map(_cube, items)
+            assert result.outputs == reference
             assert result.retries == 2
             assert plan.fired() == 2
 

@@ -161,18 +161,22 @@ class TestEngineInstrumentation:
             batch = by_id[submit["args"]["parent_id"]]
             assert batch["name"] == "map par"
 
-    def test_run_graph_metrics(self):
-        from repro.engine import TaskGraph
+    def test_grid_runs_as_one_map_batch(self):
+        from repro import workloads
 
-        graph = TaskGraph()
-        graph.add("a", sqrt, (16.0,))
-        graph.add("b", sqrt, deps=("a",))
         registry = MetricsRegistry()
-        engine = EvaluationEngine(metrics=registry)
-        result = engine.run_graph(graph, phase="g")
-        assert result["b"] == 2.0
-        assert registry.value("engine_tasks", phase="g") == 2
-        assert registry.value("engine_tasks_executed", phase="g") == 2
+        tracer = Tracer()
+        engine = EvaluationEngine(metrics=registry, tracer=tracer)
+        workloads.run_cloud_comparison(engine=engine)
+        phase = "cloud-comparison"
+        assert registry.value("engine_tasks", phase=phase) == 5
+        assert registry.value("engine_tasks_executed", phase=phase) == 5
+        (batch,) = [e for e in tracer.events if e["name"] == f"map {phase}"]
+        tasks = [e for e in tracer.events if e["name"] == "engine task"]
+        assert [e["args"]["index"] for e in tasks] == [0, 1, 2, 3, 4]
+        assert {e["args"]["parent_id"] for e in tasks} == {
+            batch["args"]["span_id"]
+        }
 
 
 class TestCampaignAndJournalInstrumentation:

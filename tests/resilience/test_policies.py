@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.engine import EvaluationEngine, TaskGraph, client_policy_task
+from repro.engine import EvaluationEngine
 from repro.errors import ValidationError
 from repro.queueing import MMCKQueue
 from repro.queueing.responsetime import response_time_survival
@@ -417,39 +417,6 @@ class TestCompareClientPolicies:
         assert "Client-policy ranking" in text
         assert "Policy x scenario cells" in text
         assert "retry(k=3, p=1)" in text
-
-
-class TestClientPolicyTask:
-    def test_key_covers_the_full_spec(self):
-        graph = TaskGraph()
-        scenario = FarmFaultScenario("s", servers_up=2)
-        a = client_policy_task(
-            graph, "a", TimeoutPolicy(0.05), scenario,
-            arrival_rate=100.0, service_rate=100.0, capacity=10,
-        )
-        b = client_policy_task(
-            graph, "b", TimeoutPolicy(0.06), scenario,
-            arrival_rate=100.0, service_rate=100.0, capacity=10,
-        )
-        c = client_policy_task(
-            graph, "c", TimeoutPolicy(0.05), scenario,
-            arrival_rate=200.0, service_rate=100.0, capacity=10,
-        )
-        assert a.key is not None
-        assert len({a.key, b.key, c.key}) == 3
-
-    def test_identical_specs_share_a_key(self):
-        graph = TaskGraph()
-        scenario = FarmFaultScenario("s", servers_up=2)
-        a = client_policy_task(
-            graph, "a", HedgePolicy(0.05, 0.01), scenario,
-            arrival_rate=100.0, service_rate=100.0, capacity=10,
-        )
-        b = client_policy_task(
-            graph, "b", HedgePolicy(0.05, 0.01), scenario,
-            arrival_rate=100.0, service_rate=100.0, capacity=10,
-        )
-        assert a.key == b.key
 
 
 def test_the_largest_accepted_farm_evaluates():

@@ -130,8 +130,23 @@ def test_every_size_parameter_has_an_upper_bound():
     for param in (
         workloads.SERVERS, workloads.BUFFER, workloads.BREAKER_THRESHOLD,
         workloads.SERVERS_MAX, workloads.WORKERS, workloads.REPLICATIONS,
+        workloads.HORIZON,
     ):
         assert param.high is not None, param.name
+
+
+def test_a_horizon_past_its_bound_is_a_one_line_error(capsys):
+    # One replication's horizon is how long a parallel campaign runs on
+    # after a cancel, so an unbounded one could hold a slot for hours.
+    with pytest.raises(ValidationError) as excinfo:
+        parse_spec("campaign", {"horizon": 1e6})
+    message = str(excinfo.value)
+    assert message.startswith("horizon ")
+    assert "\n" not in message
+    assert main(["inject", "--horizon", "1e6"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --horizon must be a number in (0, 100000], got 1000000.0\n"
+    )
 
 
 @each_workload

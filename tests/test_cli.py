@@ -231,7 +231,7 @@ class TestJournaledInject:
         path = tmp_path / "campaign.jsonl"
         code = main([
             "inject", "--scenario", "null", "--user-class", "A",
-            "--horizon", "200000", "--replications", "50", "--seed", "4",
+            "--horizon", "100000", "--replications", "100", "--seed", "4",
             "--journal", str(path), "--deadline", "0.3",
         ])
         assert code == 2
@@ -239,7 +239,7 @@ class TestJournaledInject:
         records = read_journal(path)  # intact despite the interruption
         assert records[0]["kind"] == "campaign_start"
         completed = [r for r in records if r["kind"] == "replication"]
-        assert len(completed) < 50
+        assert len(completed) < 100
         assert not any(r["kind"] == "campaign_end" for r in records)
 
     def test_resume_completes_and_matches_uninterrupted_output(
