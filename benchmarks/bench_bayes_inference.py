@@ -13,8 +13,8 @@ queries behind one ``repro cloud`` cell), through both paths.  The
 guarded statistic is the minimum paired per-round ratio minus one
 (:func:`~repro.obs.regression.paired_ratio_overhead`), asserted against
 a *negative* threshold: variable elimination must stay at least twice
-as fast as enumeration (``inference_overhead <= -0.5``), and ``repro
-diff`` gates the committed ``BENCH_bayes.json`` the same way.
+as fast as enumeration (``inference_overhead <= -0.5``).  Each run
+writes its measured record to ``benchmarks/artifacts/BENCH_bayes.json``.
 
 Both paths must also agree to 1e-9 on every query — a speed win at the
 wrong answer is no win.
@@ -36,8 +36,6 @@ from repro.ta import CLASS_A, CLASS_B
 
 REPEATS = 7
 GUARD_THRESHOLD = -0.5  # elimination must stay >= 2x faster
-
-BASELINE = Path(__file__).parent / "BENCH_bayes.json"
 
 
 def _scenario_queries(network):
@@ -116,7 +114,6 @@ def test_variable_elimination_outpaces_enumeration(benchmark):
             elimination / enumeration - 1.0, 4
         ),
         "guard_threshold": GUARD_THRESHOLD,
-        "guarded": ["inference_overhead"],
     }
     out_dir = Path(__file__).parent / "artifacts"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -137,11 +134,6 @@ def test_variable_elimination_outpaces_enumeration(benchmark):
             f"Travel Agency — {len(queries)} queries, best of {REPEATS}"
         ),
     ))
-
-    if BASELINE.exists():
-        baseline = json.loads(BASELINE.read_text())
-        assert baseline["benchmark"] == record["benchmark"]
-        assert baseline["guard_threshold"] == GUARD_THRESHOLD
 
     assert overhead <= GUARD_THRESHOLD, (
         f"variable elimination is only {-overhead:.0%} faster than "

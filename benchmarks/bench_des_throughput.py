@@ -18,9 +18,9 @@ Two passes over the identical event mix:
   count and self-time share, and the bench asserts the accounting saw
   exactly the events that ran.
 
-Timings are machine-dependent, so nothing here is guarded (``guarded:
-[]``) — the committed ``benchmarks/BENCH_des.json`` baseline exists so
-``repro diff`` can *show* the delta, not veto it.
+Timings are machine-dependent, so nothing here is guarded: each run
+writes its measured record, with the core count, to
+``benchmarks/artifacts/BENCH_des.json``.
 """
 
 import json
@@ -35,9 +35,6 @@ from repro.sim import Simulator
 
 EVENTS = 60_000   # total across the three event classes
 REPEATS = 10
-GUARD_THRESHOLD = 0.03  # convention only; no field is guarded
-
-BASELINE = Path(__file__).parent / "BENCH_des.json"
 
 
 class CounterTick:
@@ -137,9 +134,7 @@ def test_des_throughput_baseline(benchmark):
             }
             for name, entry in accounting["events"].items()
         },
-        "guard_threshold": GUARD_THRESHOLD,
-        "guarded": [],
-        "guard_enforced": bool(os.environ.get("REPRO_OBS_GUARD")),
+        "nproc": os.cpu_count(),
     }
     out_dir = Path(__file__).parent / "artifacts"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -164,7 +159,3 @@ def test_des_throughput_baseline(benchmark):
             f"({EVENTS} events, best of {REPEATS})"
         ),
     ))
-
-    if BASELINE.exists():
-        baseline = json.loads(BASELINE.read_text())
-        assert baseline["benchmark"] == record["benchmark"]

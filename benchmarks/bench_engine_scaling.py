@@ -7,15 +7,16 @@ serial reference *bit for bit* — the engine's core contract.  A second
 pass re-runs the sweep against a warm memo cache and asserts that no
 cell is recomputed.
 
-Wall-clock numbers land in ``benchmarks/BENCH_engine.json`` (and the
-emitted table).  Speedup is machine-dependent — a single-core CI
-container shows none — so only equality and cache behaviour are
-asserted here; the committed baseline records what a multi-core runner
-measured.
+Wall-clock numbers land in ``benchmarks/artifacts/BENCH_engine.json``
+(with the core count) and the emitted table.  Speedup is
+machine-dependent — a single-core container measured 0.06x at
+``workers=2`` — so only equality, cache behaviour and the outputs
+digest are asserted here.
 """
 
 import hashlib
 import json
+import os
 import time
 from pathlib import Path
 
@@ -30,7 +31,11 @@ FAILURE_RATES = (1e-2, 1e-3, 1e-4)
 ARRIVAL_RATES = (50.0, 100.0, 150.0)
 WORKER_COUNTS = (1, 2, 4)
 
-BASELINE = Path(__file__).parent / "BENCH_engine.json"
+# sha256 of repr(outputs) for the 90-cell grid: guards against silent
+# numeric drift in the web-service model on any machine.
+OUTPUTS_SHA256 = (
+    "95a27ad3cefa8de05ca6b8e25d02f9eea0f859b6267660900ff614cb7a519923"
+)
 
 
 def unavailability(spec):
@@ -119,6 +124,7 @@ def test_engine_scaling_bit_identical_across_workers(benchmark):
         "warm_cache_hit_rate": warm.cache_stats.hit_rate,
         "bit_identical": True,
         "outputs_sha256": digest,
+        "nproc": os.cpu_count(),
     }
     BENCH_OUT = Path(__file__).parent / "artifacts"
     BENCH_OUT.mkdir(parents=True, exist_ok=True)
@@ -142,8 +148,4 @@ def test_engine_scaling_bit_identical_across_workers(benchmark):
         title=f"Engine scaling — Fig. 11 grid, {len(reference.outputs)} cells",
     ))
 
-    if BASELINE.exists():
-        baseline = json.loads(BASELINE.read_text())
-        # The outputs digest guards against silent numeric drift between
-        # the committed baseline and this machine's results.
-        assert baseline["outputs_sha256"] == digest
+    assert digest == OUTPUTS_SHA256

@@ -18,13 +18,12 @@ Three variants drain an identical self-rescheduling event chain:
   timing histogram.
 
 Timings are best-of-``REPEATS`` to shave scheduler noise.  The
-disabled-vs-bare overhead is asserted ``<= 3%`` only when
-``REPRO_OBS_GUARD`` is set (the CI overhead job sets it; interactive
-runs on noisy machines just report).  Enabled-mode cost is reported,
-never asserted — it is the price of asking for data, not a regression.
+disabled-vs-bare overhead is asserted ``<= 3%`` on every run; that
+assertion is the guard.  Enabled-mode cost is reported, never asserted
+— it is the price of asking for data, not a regression.
 
-Results land in ``benchmarks/artifacts/BENCH_obs.json``; the committed
-``benchmarks/BENCH_obs.json`` records what a CI runner measured.
+Each run writes its measured record to
+``benchmarks/artifacts/BENCH_obs.json`` (with the core count).
 """
 
 import heapq
@@ -45,8 +44,6 @@ from repro.sim import Simulator
 EVENTS = 30_000
 REPEATS = 15
 GUARD_THRESHOLD = 0.03  # disabled-mode regression budget: 3%
-
-BASELINE = Path(__file__).parent / "BENCH_obs.json"
 
 
 class BareKernel:
@@ -171,10 +168,6 @@ def test_disabled_mode_overhead_within_budget(benchmark):
         "disabled_overhead_of_best": round(disabled / bare - 1.0, 4),
         "enabled_overhead_of_best": round(enabled / bare - 1.0, 4),
         "guard_threshold": GUARD_THRESHOLD,
-        # Only the disabled-mode statistic is asserted; enabled-mode
-        # cost is the price of asking for data, not a regression.
-        "guarded": ["disabled_overhead"],
-        "guard_enforced": bool(os.environ.get("REPRO_OBS_GUARD")),
         "nproc": os.cpu_count(),
     }
     out_dir = Path(__file__).parent / "artifacts"
@@ -199,13 +192,9 @@ def test_disabled_mode_overhead_within_budget(benchmark):
         ),
     ))
 
-    if BASELINE.exists():
-        baseline = json.loads(BASELINE.read_text())
-        assert baseline["benchmark"] == record["benchmark"]
-        assert baseline["guard_threshold"] == GUARD_THRESHOLD
-
-    if os.environ.get("REPRO_OBS_GUARD"):
-        assert disabled_overhead <= GUARD_THRESHOLD, (
-            f"disabled-mode observability overhead {disabled_overhead:.1%} "
-            f"exceeds the {GUARD_THRESHOLD:.0%} budget"
-        )
+    # Only the disabled-mode statistic is asserted; enabled-mode cost is
+    # the price of asking for data, not a regression.
+    assert disabled_overhead <= GUARD_THRESHOLD, (
+        f"disabled-mode observability overhead {disabled_overhead:.1%} "
+        f"exceeds the {GUARD_THRESHOLD:.0%} budget"
+    )

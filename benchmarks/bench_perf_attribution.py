@@ -10,23 +10,21 @@
    kernel accounting).  The bench measures the real disabled kernel
    against a bare pre-instrumentation replica (imported from
    ``bench_obs_overhead``) and guards the paired-ratio overhead at
-   ``<= 3%`` when ``REPRO_OBS_GUARD`` is set.  The ``profiled``
-   variant times ``_step_observed`` under a recorder; it is reported,
-   never asserted.
+   ``<= 3%`` on every run.  The ``profiled`` variant times
+   ``_step_observed`` under a recorder; it is reported, never asserted.
 
 2. **Coverage.**  An :class:`~repro.obs.AttributionReport` decomposes a
    batch's capacity (``slots x elapsed``) into compute, serialization,
    IPC, idle, and cache — and the five buckets must account for
    ``>= 95%`` of measured wall-time.  The bench runs the Fig. 11 grid
    through the engine serially and with ``workers=2`` (the
-   configuration whose 0.06x "speedup" in ``BENCH_engine.json``
-   motivated attribution in the first place) and asserts coverage on
-   both, recording the parallel run's bucket shares — the numeric
-   explanation of where the speedup went.
+   configuration whose 0.06x "speedup" in ``bench_engine_scaling.py``
+   on a single-core container motivated attribution in the first
+   place) and asserts coverage on both, recording the parallel run's
+   bucket shares — the numeric explanation of where the speedup went.
 
-Results land in ``benchmarks/artifacts/BENCH_perf.json``; the committed
-``benchmarks/BENCH_perf.json`` is the CI baseline ``repro diff`` gates
-against.
+Each run writes its measured record, with the core count, to
+``benchmarks/artifacts/BENCH_perf.json``.
 """
 
 import json
@@ -51,8 +49,6 @@ COVERAGE_FLOOR = 0.95   # the attribution buckets must explain >= 95%
 SERVER_RANGE = tuple(range(1, 11))
 FAILURE_RATES = (1e-2, 1e-3, 1e-4)
 ARRIVAL_RATES = (50.0, 100.0, 150.0)
-
-BASELINE = Path(__file__).parent / "BENCH_perf.json"
 
 
 def unavailability(spec):
@@ -148,10 +144,6 @@ def test_perf_attribution_overhead_and_coverage(benchmark):
         "ipc_share_workers2": round(parallel_report.share("ipc"), 4),
         "idle_share_workers2": round(parallel_report.share("idle"), 4),
         "guard_threshold": GUARD_THRESHOLD,
-        # Only the disabled-mode statistic is a regression; everything
-        # else (including the machine-dependent shares) is evidence.
-        "guarded": ["disabled_overhead"],
-        "guard_enforced": bool(os.environ.get("REPRO_OBS_GUARD")),
         "nproc": os.cpu_count(),
     }
     out_dir = Path(__file__).parent / "artifacts"
@@ -192,14 +184,10 @@ def test_perf_attribution_overhead_and_coverage(benchmark):
             ),
         ))
 
-    if BASELINE.exists():
-        baseline = json.loads(BASELINE.read_text())
-        assert baseline["benchmark"] == record["benchmark"]
-        assert baseline["guard_threshold"] == GUARD_THRESHOLD
-
-    if os.environ.get("REPRO_OBS_GUARD"):
-        assert disabled_overhead <= GUARD_THRESHOLD, (
-            f"disabled-mode perf-attribution overhead "
-            f"{disabled_overhead:.1%} exceeds the "
-            f"{GUARD_THRESHOLD:.0%} budget"
-        )
+    # Only the disabled-mode statistic is a regression; everything else
+    # (including the machine-dependent shares) is evidence.
+    assert disabled_overhead <= GUARD_THRESHOLD, (
+        f"disabled-mode perf-attribution overhead "
+        f"{disabled_overhead:.1%} exceeds the "
+        f"{GUARD_THRESHOLD:.0%} budget"
+    )

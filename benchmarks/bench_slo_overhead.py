@@ -22,15 +22,12 @@ same seed, so the same trajectory event for event):
   session-level confidence intervals, not a regression.
 
 The statistic and interleaving come from :mod:`repro.obs.regression`
-(minimum paired per-round ratio minus one; see that module).  The guard
-asserts only when ``REPRO_OBS_GUARD`` is set, as in
-``bench_obs_overhead.py``.  Results land in
-``benchmarks/artifacts/BENCH_slo.json``; the committed
-``benchmarks/BENCH_slo.json`` records what a CI runner measured.
+(minimum paired per-round ratio minus one; see that module).  The
+guard asserts on every run, as in ``bench_obs_overhead.py``.  Each run
+writes its measured record to ``benchmarks/artifacts/BENCH_slo.json``.
 """
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -47,8 +44,6 @@ HORIZON = 2000.0
 SEED = 20030622  # DSN 2003; any fixed seed works, all variants share it
 REPEATS = 10
 GUARD_THRESHOLD = 0.03  # monitored-mode regression budget: 3%
-
-BASELINE = Path(__file__).parent / "BENCH_slo.json"
 
 MODEL = TravelAgencyModel().hierarchical_model
 OBJECTIVE = MODEL.user_availability(CLASS_A).availability
@@ -116,8 +111,6 @@ def test_slo_monitor_overhead_within_budget(benchmark):
             timing.overhead_of_best("sampled", "plain"), 4
         ),
         "guard_threshold": GUARD_THRESHOLD,
-        "guarded": ["monitored_overhead"],
-        "guard_enforced": bool(os.environ.get("REPRO_OBS_GUARD")),
     }
     out_dir = Path(__file__).parent / "artifacts"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -141,13 +134,7 @@ def test_slo_monitor_overhead_within_budget(benchmark):
         ),
     ))
 
-    if BASELINE.exists():
-        baseline = json.loads(BASELINE.read_text())
-        assert baseline["benchmark"] == record["benchmark"]
-        assert baseline["guard_threshold"] == GUARD_THRESHOLD
-
-    if os.environ.get("REPRO_OBS_GUARD"):
-        assert monitored_overhead <= GUARD_THRESHOLD, (
-            f"SLO-monitor overhead {monitored_overhead:.1%} exceeds the "
-            f"{GUARD_THRESHOLD:.0%} budget on the end-to-end hot path"
-        )
+    assert monitored_overhead <= GUARD_THRESHOLD, (
+        f"SLO-monitor overhead {monitored_overhead:.1%} exceeds the "
+        f"{GUARD_THRESHOLD:.0%} budget on the end-to-end hot path"
+    )

@@ -70,10 +70,8 @@ The subcommands cover the common workflows without writing Python:
     error-budget consumption, and the burn-rate alert log.
 
 ``repro diff``
-    Compare two observability artifacts: metrics snapshots (series-by-
-    series deltas/ratios, histogram-aware) or ``BENCH_*.json`` records
-    (guarded overhead statistics against the committed baseline; a
-    regression beyond the guard threshold exits with code 1).
+    Compare two ``--metrics`` snapshots series by series: deltas and
+    ratios, histogram-aware.
 
 ``repro trace-report``
     Analyze a ``--trace`` Chrome trace JSONL: critical path, self time
@@ -781,40 +779,17 @@ def _cmd_diff(args) -> int:
     import json
 
     from .errors import ObservabilityError
-    from .obs import (
-        MetricsRegistry,
-        compare_bench_records,
-        diff_registries,
-        format_bench_comparison,
-        format_diff_table,
-    )
-    from .obs.metrics import SNAPSHOT_SCHEMA
+    from .obs import MetricsRegistry, diff_registries, format_diff_table
 
     def load(path):
         try:
             with open(path) as handle:
-                return json.load(handle)
+                snapshot = json.load(handle)
         except (OSError, ValueError) as exc:
             raise ObservabilityError(f"cannot read {path!r}: {exc}")
+        return MetricsRegistry.from_dict(snapshot)
 
-    old, new = load(args.old), load(args.new)
-    bench_sides = [
-        isinstance(doc, dict) and "benchmark" in doc for doc in (old, new)
-    ]
-    if all(bench_sides):
-        comparison = compare_bench_records(
-            old, new, threshold=args.threshold
-        )
-        print(format_bench_comparison(comparison))
-        return 0 if comparison.ok else 1
-    if any(bench_sides):
-        raise ObservabilityError(
-            "cannot diff a bench record against a metrics snapshot: "
-            f"{args.old!r} and {args.new!r} are different kinds of artifact"
-        )
-    diff = diff_registries(
-        MetricsRegistry.from_dict(old), MetricsRegistry.from_dict(new)
-    )
+    diff = diff_registries(load(args.old), load(args.new))
     print(format_diff_table(diff, include_unchanged=args.include_unchanged))
     return 0
 
@@ -1093,22 +1068,15 @@ COMMANDS = {command.name: command for command in (
     ),
     Command(
         "diff",
-        "diff two metrics snapshots or BENCH_*.json records (bench "
-        "regressions exit with code 1)",
+        "diff two metrics snapshots",
         _cmd_diff,
         (
             Param("include_unchanged", bool, False,
-                  help="metrics mode: also list series that did not move"),
-            # Guard thresholds may legitimately be zero or negative (a
-            # "must be at least this much faster" bench): only finiteness
-            # is checked.
-            Param("threshold", float,
-                  help="bench mode: override the records' own "
-                       "guard_threshold for the regression verdict"),
+                  help="also list series that did not move"),
         ),
         (
-            ("old", dict(help="baseline artifact (JSON)")),
-            ("new", dict(help="current artifact (JSON)")),
+            ("old", dict(help="baseline metrics snapshot (JSON)")),
+            ("new", dict(help="current metrics snapshot (JSON)")),
         ),
     ),
     Command(

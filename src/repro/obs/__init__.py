@@ -42,17 +42,16 @@ failures — without changing a single output bit:
   histogram-aware registry diffing (:func:`diff_registries`;
   ``repro diff``);
 * :mod:`~repro.obs.regression` — the noise-robust paired-ratio overhead
-  statistic shared by every ``bench_*_overhead`` guard, plus
-  ``BENCH_*.json`` baseline comparison.
+  statistic shared by every ``bench_*_overhead`` guard.
 
 Instrumented layers: the DES kernel (events, queue depths, per-event-type
 timing), the CTMC steady-state solvers (solve wall-time, strategy
-fallbacks, power iterations), the vectorized queueing kernels, the
-evaluation engine (task latencies, cache hit/miss/eviction counters),
-fault-injection campaigns (per-scenario failure/repair event counts),
-and the runtime journal (records/fsyncs).  The CLI wires it up via
-``--metrics PATH`` / ``--trace PATH`` on ``sweep``/``inject``/
-``retries``/``resume`` and renders metrics files with ``repro stats``.
+fallbacks, power iterations), the evaluation engine (task latencies,
+cache hit/miss/eviction counters), fault-injection campaigns
+(per-scenario failure/repair event counts), and the runtime journal
+(records/fsyncs).  The CLI wires it up via ``--metrics PATH`` /
+``--trace PATH`` on ``sweep``/``inject``/``retries``/``resume`` and
+renders metrics files with ``repro stats``.
 See ``docs/OBSERVABILITY.md`` for the full model.
 """
 
@@ -96,13 +95,7 @@ from .perf import (
     format_kernel_accounting,
     speedscope_document,
 )
-from .regression import (
-    BenchComparison,
-    compare_bench_records,
-    format_bench_comparison,
-    paired_ratio_overhead,
-    time_variants,
-)
+from .regression import paired_ratio_overhead, time_variants
 from .slo import (
     PoissonSessionSampler,
     SLOAlert,
@@ -164,9 +157,6 @@ __all__ = [
     "RegistryDiff",
     "diff_registries",
     "format_diff_table",
-    "BenchComparison",
-    "compare_bench_records",
-    "format_bench_comparison",
     "paired_ratio_overhead",
     "time_variants",
 ]

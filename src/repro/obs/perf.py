@@ -18,7 +18,8 @@ says *where the time went*, in three coordinated pieces:
   decomposition is an identity — per-worker busy + stall + trailing
   idle tiles the batch window — so coverage is ~100% by construction
   and the buckets *explain* results like the 0.06x workers=2 speedup
-  in ``BENCH_engine.json`` instead of hand-waving at "overhead";
+  that ``benchmarks/bench_engine_scaling.py`` measures instead of
+  hand-waving at "overhead";
 * :class:`CounterProfiler` — a deterministic sampling profiler that
   captures a stack every N kernel events / engine tasks.  Triggers are
   event *counts*, never wall-clock timers, so two runs of the same

@@ -1,11 +1,10 @@
-"""Noise-robust performance-regression statistics and bench comparison.
+"""Noise-robust performance-regression statistics.
 
 The repository's overhead guards (``benchmarks/bench_obs_overhead.py``,
 ``benchmarks/bench_slo_overhead.py``) all reduce to one statistic: how
 much slower is a variant than its baseline, measured so that a single
 noisy round cannot fail CI while a genuine regression cannot hide.  This
-module is that statistic, factored out so every bench (and the ``repro
-diff`` CLI, when pointed at two ``BENCH_*.json`` records) shares one
+module is that statistic, factored out so every bench shares one
 implementation:
 
 * :func:`time_variants` runs the variants in **interleaved rounds**
@@ -17,19 +16,13 @@ implementation:
   per-round ratio** of variant over baseline, minus one.  A genuine
   regression slows *every* round, so it survives the minimum; one
   unlucky round cannot fail the guard (and one lucky baseline round can
-  push the statistic slightly negative — that is expected and fine);
-* :func:`compare_bench_records` aligns two bench JSON records (a fresh
-  ``benchmarks/artifacts/BENCH_*.json`` against the committed baseline)
-  and reports every shared numeric field's movement, flagging the
-  guarded ``*_overhead`` statistics that exceed the record's own
-  ``guard_threshold``.  Absolute seconds are reported but never judged —
-  they belong to the machine that measured them.
+  push the statistic slightly negative — that is expected and fine).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .._validation import check_positive_int
 from ..errors import ObservabilityError
@@ -38,10 +31,6 @@ __all__ = [
     "VariantTiming",
     "paired_ratio_overhead",
     "time_variants",
-    "BenchFieldDelta",
-    "BenchComparison",
-    "compare_bench_records",
-    "format_bench_comparison",
 ]
 
 
@@ -132,175 +121,3 @@ def time_variants(
             for name in names[1:]
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# Bench-record comparison (BENCH_*.json vs committed baseline)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BenchFieldDelta:
-    """One numeric field of a bench record compared across two runs."""
-
-    key: str
-    baseline: float
-    current: float
-    guarded: bool
-
-    @property
-    def delta(self) -> float:
-        return self.current - self.baseline
-
-
-@dataclass(frozen=True)
-class BenchComparison:
-    """A bench artifact aligned against its committed baseline.
-
-    ``regressions`` lists one finding per guarded statistic of the
-    current record that exceeds the guard threshold — the same condition
-    the bench itself asserts under ``REPRO_OBS_GUARD``.
-    """
-
-    benchmark: str
-    guard_threshold: float
-    fields: Tuple[BenchFieldDelta, ...]
-    regressions: Tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-
-def _numeric_fields(record: Mapping[str, Any], prefix: str = "") -> Dict[str, float]:
-    """Flatten a bench record's numeric fields (one nesting level)."""
-    fields: Dict[str, float] = {}
-    for key, value in record.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, bool):
-            continue
-        if isinstance(value, (int, float)):
-            fields[name] = float(value)
-        elif isinstance(value, Mapping) and not prefix:
-            fields.update(_numeric_fields(value, prefix=f"{name}."))
-    return fields
-
-
-def _guarded_predicate(
-    baseline: Mapping[str, Any], current: Mapping[str, Any]
-) -> Callable[[str], bool]:
-    """Which fields the records' own guard would assert on.
-
-    A record may carry an explicit ``"guarded": [...]`` list of field
-    names (``bench_obs_overhead`` guards only ``disabled_overhead`` —
-    enabled-mode cost is reported, never asserted).  Records written
-    before that key existed fall back to the ``*_overhead`` suffix
-    (excluding the informational ``*_overhead_of_best`` ratios).
-    """
-    declared = current.get("guarded", baseline.get("guarded"))
-    if declared is not None:
-        names = frozenset(str(name) for name in declared)
-        return lambda key: key in names
-    return lambda key: (
-        key.endswith("_overhead") and not key.endswith("_overhead_of_best")
-    )
-
-
-def compare_bench_records(
-    baseline: Mapping[str, Any],
-    current: Mapping[str, Any],
-    threshold: Optional[float] = None,
-) -> BenchComparison:
-    """Compare a fresh bench record against its committed baseline.
-
-    Both records must be for the same ``benchmark``.  Every numeric
-    field present in both is reported; the guarded ``*_overhead``
-    statistics of the *current* record are additionally judged against
-    *threshold* (default: the records' own ``guard_threshold``), and a
-    breach becomes a regression finding.
-
-    Raises
-    ------
-    ObservabilityError
-        When the records name different benchmarks, carry no
-        ``benchmark`` field, or no threshold is available.
-    """
-    for name, record in (("baseline", baseline), ("current", current)):
-        if not isinstance(record, Mapping) or "benchmark" not in record:
-            raise ObservabilityError(
-                f"{name} bench record has no 'benchmark' field; is this a "
-                "BENCH_*.json file?"
-            )
-    if baseline["benchmark"] != current["benchmark"]:
-        raise ObservabilityError(
-            f"bench records disagree: baseline is "
-            f"{baseline['benchmark']!r}, current is "
-            f"{current['benchmark']!r}"
-        )
-    if threshold is None:
-        threshold = current.get(
-            "guard_threshold", baseline.get("guard_threshold")
-        )
-    if threshold is None:
-        raise ObservabilityError(
-            "neither bench record carries a guard_threshold; pass one "
-            "explicitly"
-        )
-    threshold = float(threshold)
-    is_guarded = _guarded_predicate(baseline, current)
-    base_fields = _numeric_fields(baseline)
-    current_fields = _numeric_fields(current)
-    fields = tuple(
-        BenchFieldDelta(
-            key=key,
-            baseline=base_fields[key],
-            current=current_fields[key],
-            guarded=is_guarded(key),
-        )
-        for key in sorted(set(base_fields) & set(current_fields))
-    )
-    regressions = tuple(
-        f"{field.key} = {field.current:.4f} exceeds the "
-        f"{threshold:.0%} guard (baseline recorded "
-        f"{field.baseline:.4f})"
-        for field in fields
-        if field.guarded and field.current > threshold
-    )
-    return BenchComparison(
-        benchmark=str(current["benchmark"]),
-        guard_threshold=threshold,
-        fields=fields,
-        regressions=regressions,
-    )
-
-
-def format_bench_comparison(comparison: BenchComparison) -> str:
-    """Render a :class:`BenchComparison` as a fixed-width table."""
-    from ..reporting import format_table
-
-    rows = []
-    for field in comparison.fields:
-        rows.append([
-            field.key,
-            f"{field.baseline:g}",
-            f"{field.current:g}",
-            f"{field.delta:+g}",
-            "guarded" if field.guarded else "",
-        ])
-    verdict = (
-        "ok"
-        if comparison.ok
-        else f"{len(comparison.regressions)} regression(s)"
-    )
-    text = format_table(
-        ["field", "baseline", "current", "delta", ""],
-        rows,
-        title=(
-            f"{comparison.benchmark} vs baseline — guard "
-            f"{comparison.guard_threshold:.0%} — {verdict}"
-        ),
-    )
-    if comparison.regressions:
-        text += "\n\nregressions:\n" + "\n".join(
-            f"  {finding}" for finding in comparison.regressions
-        )
-    return text

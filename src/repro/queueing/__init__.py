@@ -12,7 +12,6 @@ against a general finite birth-death solver.
 """
 
 from .metrics import QueueMetrics
-from .batch import mmck_blocking_grid, mmck_blocking_grid_rates
 from .birthdeath import birth_death_distribution
 from .mm1 import MM1Queue
 from .mm1k import MM1KQueue, mm1k_blocking_probability
@@ -45,8 +44,6 @@ __all__ = [
     "MMCQueue",
     "MMCKQueue",
     "mmck_blocking_probability",
-    "mmck_blocking_grid",
-    "mmck_blocking_grid_rates",
     "erlang_b",
     "erlang_c",
 ]

@@ -13,6 +13,7 @@ M/M/1/K expression of eq. (1).
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -44,7 +45,9 @@ def mmck_blocking_probability(offered_load: float, servers: int, capacity: int) 
     only the ratio ``w_K / sum_j w_j`` is ever needed, so rescaling both
     keeps the computation exact while preventing the ``a^j / j!`` terms
     from overflowing ``float`` for large farms (c = 500 is exercised by
-    the regression suite).
+    the regression suite).  The rescale limit shrinks with ``a`` so that
+    one more step of the recurrence, which multiplies the weight by at
+    most ``a``, cannot overflow to ``inf`` either.
     """
     a = check_rate(offered_load, "offered_load")
     servers = check_positive_int(servers, "servers")
@@ -57,13 +60,14 @@ def mmck_blocking_probability(offered_load: float, servers: int, capacity: int) 
         return mm1k_blocking_probability(a, capacity)
     # w_j = a^j / j!            for j < c   (all c servers not yet busy)
     # w_j = a^j / (c^(j-c) c!)  for j >= c  (queueing behind c busy servers)
+    limit = min(1e250, sys.float_info.max / (2.0 * max(a, 1.0)))
     weight = 1.0
     total = 1.0
     for j in range(1, capacity + 1):
         divisor = j if j <= servers else servers
         weight *= a / divisor
         total += weight
-        if weight > 1e250 or total > 1e250:
+        if weight > limit or total > limit:
             total /= weight
             weight = 1.0
     return float(weight / total)

@@ -1,14 +1,9 @@
-"""Tests for the shared bench statistic and baseline comparison."""
+"""Tests for the shared bench overhead statistic."""
 
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs.regression import (
-    compare_bench_records,
-    format_bench_comparison,
-    paired_ratio_overhead,
-    time_variants,
-)
+from repro.obs.regression import paired_ratio_overhead, time_variants
 
 
 class TestPairedRatioOverhead:
@@ -73,94 +68,3 @@ class TestTimeVariants:
             time_variants(
                 [("a", lambda: 1.0), ("a", lambda: 1.0)], repeats=2
             )
-
-
-def record(**overrides):
-    base = {
-        "benchmark": "bench-x",
-        "events": 1000,
-        "seconds": {"bare": 1.0, "disabled": 1.01},
-        "disabled_overhead": 0.01,
-        "enabled_overhead": 0.50,
-        "guard_threshold": 0.03,
-        "guarded": ["disabled_overhead"],
-        "guard_enforced": False,
-    }
-    base.update(overrides)
-    return base
-
-
-class TestCompareBenchRecords:
-    def test_ok_within_guard(self):
-        comparison = compare_bench_records(record(), record())
-        assert comparison.ok
-        assert comparison.benchmark == "bench-x"
-        keys = [f.key for f in comparison.fields]
-        assert "seconds.bare" in keys  # nested numerics flattened
-
-    def test_guarded_field_breach_is_a_regression(self):
-        comparison = compare_bench_records(
-            record(), record(disabled_overhead=0.08)
-        )
-        assert not comparison.ok
-        (finding,) = comparison.regressions
-        assert "disabled_overhead" in finding
-
-    def test_unguarded_fields_never_regress(self):
-        # enabled_overhead is above the threshold in both records but
-        # not in the guarded list: reported, never judged.
-        comparison = compare_bench_records(
-            record(), record(enabled_overhead=2.0)
-        )
-        assert comparison.ok
-
-    def test_suffix_fallback_for_old_records(self):
-        old = record()
-        del old["guarded"]
-        new = record(disabled_overhead=0.08)
-        del new["guarded"]
-        comparison = compare_bench_records(old, new)
-        assert not comparison.ok
-
-    def test_explicit_threshold_override(self):
-        comparison = compare_bench_records(
-            record(), record(disabled_overhead=0.08), threshold=0.10
-        )
-        assert comparison.ok
-
-    def test_rejects_different_benchmarks(self):
-        with pytest.raises(ObservabilityError, match="disagree"):
-            compare_bench_records(record(), record(benchmark="bench-y"))
-
-    def test_rejects_non_bench_records(self):
-        with pytest.raises(ObservabilityError, match="benchmark"):
-            compare_bench_records({"schema": "repro.obs.metrics/1"}, record())
-
-    def test_requires_some_threshold(self):
-        old, new = record(), record()
-        del old["guard_threshold"], new["guard_threshold"]
-        with pytest.raises(ObservabilityError, match="guard_threshold"):
-            compare_bench_records(old, new)
-
-    def test_format_names_verdict_and_regressions(self):
-        comparison = compare_bench_records(
-            record(), record(disabled_overhead=0.08)
-        )
-        text = format_bench_comparison(comparison)
-        assert "1 regression(s)" in text
-        assert "disabled_overhead" in text
-        ok_text = format_bench_comparison(
-            compare_bench_records(record(), record())
-        )
-        assert "ok" in ok_text
-
-    def test_committed_baselines_parse(self):
-        import json
-        from pathlib import Path
-
-        benchmarks = Path(__file__).resolve().parents[2] / "benchmarks"
-        for name in ("BENCH_obs.json", "BENCH_slo.json"):
-            doc = json.loads((benchmarks / name).read_text())
-            comparison = compare_bench_records(doc, doc)
-            assert comparison.ok  # a record never regresses against itself
-            assert any(f.guarded for f in comparison.fields)

@@ -162,6 +162,14 @@ class TestExecuteJob:
         assert set(result["series"]) == {"0.01", "0.001", "0.0001"}
         assert all(len(v) == 3 for v in result["series"].values())
 
+    def test_sweep_at_huge_arrival_rate_returns_a_document(self):
+        spec = parse_spec("sweep", {"arrival_rate": 1e200})
+        result = execute_job("sweep", spec, None)
+        assert result["cells"] == 30
+        # A saturated farm loses every request: unavailability ~1, no NaN.
+        values = [v for series in result["series"].values() for v in series]
+        assert values == [pytest.approx(1.0)] * 30
+
     def test_campaign_result_document(self):
         spec = parse_spec("campaign", {
             "scenario": "null", "user_class": "A",

@@ -66,6 +66,15 @@ class TestWebCommand:
         out = capsys.readouterr().out
         assert "within 0.05s" in out
 
+    def test_huge_arrival_rate_prints_no_nan(self, capsys):
+        assert main([
+            "web", "--servers", "64", "--buffer", "1000",
+            "--arrival-rate", "1e200",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out
+        assert "buffer-full loss      = 1.000e+00" in out
+
     def test_invalid_parameters_exit_code(self, capsys):
         # capacity below servers is a model validation error -> exit 2.
         assert main(["web", "--servers", "12", "--buffer", "10"]) == 2
@@ -396,6 +405,13 @@ class TestSweepCommand:
         assert "Figure 11" in captured.out
         assert "lambda=0.01/h" in captured.out
         assert "engine: workers=1" in captured.err
+
+    def test_huge_arrival_rate_renders_a_table(self, capsys):
+        # A saturated farm blocks every request: the bars render, no NaN.
+        assert main(["sweep", "--arrival-rate", "1e200"]) == 0
+        out = capsys.readouterr().out
+        assert "Figure 11" in out
+        assert "nan" not in out
 
     def test_figure_12_uses_imperfect_coverage(self, capsys):
         assert main(["sweep", "--figure", "12", "--servers-max", "4"]) == 0
@@ -771,7 +787,6 @@ class TestDiffCommand:
             "benchmark": "bench-x",
             "disabled_overhead": overhead,
             "guard_threshold": 0.03,
-            "guarded": ["disabled_overhead"],
         }
         path = tmp_path / name
         path.write_text(json.dumps(record))
@@ -785,27 +800,15 @@ class TestDiffCommand:
         assert "engine_tasks" in out
         assert "changed" in out
 
-    def test_bench_regression_exits_1(self, tmp_path, capsys):
-        old = self.bench(tmp_path, "old.json", 0.01)
-        new = self.bench(tmp_path, "new.json", 0.20)
-        assert main(["diff", old, new]) == 1
-        out = capsys.readouterr().out
-        assert "regression" in out
-        assert "disabled_overhead" in out
-
-    def test_bench_within_guard_exits_0(self, tmp_path, capsys):
-        old = self.bench(tmp_path, "old.json", 0.01)
-        new = self.bench(tmp_path, "new.json", 0.02)
-        assert main(["diff", old, new]) == 0
-        assert "ok" in capsys.readouterr().out
-
     def test_mixed_artifact_kinds_rejected(self, tmp_path, capsys):
+        # A bench record is not a metrics snapshot: one error line, exit 2.
         snap = self.snapshot(tmp_path, "snap.json", 1)
         bench = self.bench(tmp_path, "bench.json", 0.01)
         assert main(["diff", snap, bench]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert "different kinds" in err
+        assert err.count("\n") == 1
+        assert "'metrics' list" in err
 
     def test_missing_file_is_a_one_line_error(self, tmp_path, capsys):
         snap = self.snapshot(tmp_path, "snap.json", 1)

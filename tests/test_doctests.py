@@ -38,7 +38,6 @@ MODULES = [
     "repro.profiles.scenarios",
     "repro.engine.cache",
     "repro.engine.executor",
-    "repro.queueing.batch",
     "repro.queueing.erlang",
     "repro.queueing.mg1",
     "repro.queueing.mm1",
