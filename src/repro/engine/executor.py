@@ -12,7 +12,10 @@ comparison grids, and ``retries --simulate``.  One set of rules applies:
   runs in-process and no pool is built.
 * Otherwise one supervised pool of ``min(workers, pending)`` processes
   runs the rest, submitted in item order.  The work function is checked
-  for picklability once, before the pool is built.
+  for picklability once, before the pool is built.  Inside a
+  :func:`pool_scope` the pool outlives the batch: later batches on the
+  same thread that need a pool of that size borrow it instead of
+  starting their own.
 * Chaos injections fire by item index.
 
 Behind the entry point sit these guarantees:
@@ -62,6 +65,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import threading
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -69,15 +73,17 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    ContextManager,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -102,9 +108,83 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from ..obs.perf import BatchPerf, PerfRecorder
     from ..obs.tracing import Tracer
 
-__all__ = ["EvaluationEngine", "BatchResult"]
+__all__ = ["EvaluationEngine", "BatchResult", "pool_scope"]
 
 JournalLike = Union[Journal, str, Path]
+
+
+class _PoolScope:
+    """The worker pool one :func:`pool_scope` holds for its thread.
+
+    At most one pool is held.  A pass that needs another size replaces
+    it, so a scope changes how long a pool lives, never how many
+    processes a pass runs on.
+    """
+
+    __slots__ = ("_pool", "_size")
+
+    def __init__(self):
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._size = 0
+
+    @contextmanager
+    def borrow(self, size: int) -> Iterator[ProcessPoolExecutor]:
+        if self._pool is not None and self._size != size:
+            self.close()
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=size)
+            self._size = size
+        try:
+            yield self._pool
+        except BrokenExecutor:
+            # A dead worker broke the pool for good: the supervisor's
+            # next pass must start a fresh one.
+            self.close()
+            raise
+
+    def close(self) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+
+_scopes = threading.local()
+
+
+@contextmanager
+def pool_scope() -> Iterator[None]:
+    """Share one worker pool among the engine batches run in the block.
+
+    While the scope is open on the current thread, every pool pass of
+    every :class:`EvaluationEngine` on that thread borrows the scope's
+    held ``ProcessPoolExecutor`` instead of starting and shutting down
+    its own, so a grid of small batches pays pool start-up once.  The
+    pool is built lazily, at the size of the first pass that needs one;
+    a pass needing another size replaces it.  A worker death drops the
+    broken pool (the engine's respawn accounting is unchanged) and the
+    next pass starts a fresh one.  Leaving the block shuts the pool
+    down and waits for its workers, also on error or cancellation.
+    Scopes are per thread: a pool is never shared between threads, and
+    outside any scope each pool pass owns its pool, as before.  A
+    nested scope holds its own pool and restores the outer one on exit.
+    Outputs never depend on whether a scope is open.
+    """
+    scope = _PoolScope()
+    previous = getattr(_scopes, "current", None)
+    _scopes.current = scope
+    try:
+        yield
+    finally:
+        _scopes.current = previous
+        scope.close()
+
+
+def _pool_for(size: int) -> ContextManager[ProcessPoolExecutor]:
+    """The pool one pass runs on: the open scope's, or one of its own."""
+    scope = getattr(_scopes, "current", None)
+    if scope is None:
+        return ProcessPoolExecutor(max_workers=size)
+    return scope.borrow(size)
 
 
 def _stats_delta(before: CacheStats, after: CacheStats) -> CacheStats:
@@ -750,8 +830,9 @@ class EvaluationEngine:
     ) -> None:
         """Supervised process-pool backend.
 
-        Each *pool pass* drives one ``ProcessPoolExecutor`` until every
-        remaining task completes or the pool breaks (a worker died).  A
+        Each *pool pass* drives one ``ProcessPoolExecutor`` (its own, or
+        the one an open :func:`pool_scope` holds) until every remaining
+        task completes or the pool breaks (a worker died).  A
         broken pool costs one respawn from the ``max_respawns`` budget;
         the next pass re-dispatches exactly the tasks that had not
         completed, so supervised output is bit-identical to serial.
@@ -785,9 +866,7 @@ class EvaluationEngine:
         bperf: Optional["BatchPerf"],
     ) -> None:
         instrument = self._instrumented
-        with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(remaining))
-        ) as pool:
+        with _pool_for(min(self.workers, len(remaining))) as pool:
             futures: Dict[Any, int] = {}
 
             def submit(index: int) -> None:

@@ -603,23 +603,30 @@ def run_campaigns(
     the grid remains reproducible from the single *seed*.  The
     cancellation token and heartbeat are shared across cells (one
     deadline bounds the whole grid); *workers* parallelizes the
-    replications within each cell.
+    replications within each cell.  Each cell is its own
+    :func:`run_campaign`, but one worker pool serves every cell (a
+    :func:`~repro.engine.pool_scope` around the grid), so the grid pays
+    pool start-up once, not once per cell; the pool is shut down before
+    this returns or raises.
     """
+    from ..engine import pool_scope
+
     results: List[CampaignResult] = []
-    for c, user_class in enumerate(user_classes):
-        for s, scenario in enumerate(scenarios):
-            results.append(
-                run_campaign(
-                    model,
-                    user_class,
-                    scenario,
-                    horizon=horizon,
-                    replications=replications,
-                    seed=seed + 10_000 * c + 100 * s,
-                    default_repair_rate=default_repair_rate,
-                    cancellation=cancellation,
-                    heartbeat=heartbeat,
-                    workers=workers,
+    with pool_scope():
+        for c, user_class in enumerate(user_classes):
+            for s, scenario in enumerate(scenarios):
+                results.append(
+                    run_campaign(
+                        model,
+                        user_class,
+                        scenario,
+                        horizon=horizon,
+                        replications=replications,
+                        seed=seed + 10_000 * c + 100 * s,
+                        default_repair_rate=default_repair_rate,
+                        cancellation=cancellation,
+                        heartbeat=heartbeat,
+                        workers=workers,
+                    )
                 )
-            )
     return results
