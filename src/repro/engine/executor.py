@@ -13,9 +13,9 @@ comparison grids, and ``retries --simulate``.  One set of rules applies:
 * Otherwise one supervised pool of ``min(workers, pending)`` processes
   runs the rest, submitted in item order.  The work function is checked
   for picklability once, before the pool is built.  Inside a
-  :func:`pool_scope` the pool outlives the batch: later batches on the
-  same thread that need a pool of that size borrow it instead of
-  starting their own.
+  :func:`pool_scope` the scope builds the pool at the engine's
+  ``workers`` and it outlives the batch: later batches on the same
+  thread borrow it instead of starting their own.
 * Chaos injections fire by item index.
 
 Behind the entry point sit these guarantees:
@@ -116,9 +116,10 @@ JournalLike = Union[Journal, str, Path]
 class _PoolScope:
     """The worker pool one :func:`pool_scope` holds for its thread.
 
-    At most one pool is held.  A pass that needs another size replaces
-    it, so a scope changes how long a pool lives, never how many
-    processes a pass runs on.
+    At most one pool is held, built at the borrowing engine's
+    ``workers``.  A pass reuses it when it is at least as wide as the
+    pass needs and no wider than the engine's ``workers``; otherwise
+    the pass replaces it.
     """
 
     __slots__ = ("_pool", "_size")
@@ -128,12 +129,14 @@ class _PoolScope:
         self._size = 0
 
     @contextmanager
-    def borrow(self, size: int) -> Iterator[ProcessPoolExecutor]:
-        if self._pool is not None and self._size != size:
+    def borrow(
+        self, size: int, workers: int
+    ) -> Iterator[ProcessPoolExecutor]:
+        if self._pool is not None and not size <= self._size <= workers:
             self.close()
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=size)
-            self._size = size
+            self._pool = ProcessPoolExecutor(max_workers=workers)
+            self._size = workers
         try:
             yield self._pool
         except BrokenExecutor:
@@ -159,11 +162,16 @@ def pool_scope() -> Iterator[None]:
     every :class:`EvaluationEngine` on that thread borrows the scope's
     held ``ProcessPoolExecutor`` instead of starting and shutting down
     its own, so a grid of small batches pays pool start-up once.  The
-    pool is built lazily, at the size of the first pass that needs one;
-    a pass needing another size replaces it.  A worker death drops the
-    broken pool (the engine's respawn accounting is unchanged) and the
-    next pass starts a fresh one.  Leaving the block shuts the pool
-    down and waits for its workers, also on error or cancellation.
+    pool is built lazily, by the first pass that needs one, at its
+    engine's ``workers`` rather than the pass's ``min(workers,
+    pending)``, so a short pass (a respawn finishing one task) does not
+    leave a pool too narrow for the next full batch.  A pass reuses the
+    held pool when it is at least as wide as the pass needs and no
+    wider than the engine's ``workers``, and replaces it otherwise.  A
+    worker death drops the broken pool (the engine's respawn accounting
+    is unchanged) and the next pass starts a fresh one.  Leaving the
+    block shuts the pool down and waits for its workers, also on error
+    or cancellation.
     Scopes are per thread: a pool is never shared between threads, and
     outside any scope each pool pass owns its pool, as before.  A
     nested scope holds its own pool and restores the outer one on exit.
@@ -179,12 +187,15 @@ def pool_scope() -> Iterator[None]:
         scope.close()
 
 
-def _pool_for(size: int) -> ContextManager[ProcessPoolExecutor]:
-    """The pool one pass runs on: the open scope's, or one of its own."""
+def _pool_for(
+    size: int, workers: int
+) -> ContextManager[ProcessPoolExecutor]:
+    """The pool a pass of *size* processes runs on, for an engine of
+    *workers*: the open scope's, or one of its own."""
     scope = getattr(_scopes, "current", None)
     if scope is None:
         return ProcessPoolExecutor(max_workers=size)
-    return scope.borrow(size)
+    return scope.borrow(size, workers)
 
 
 def _stats_delta(before: CacheStats, after: CacheStats) -> CacheStats:
@@ -866,7 +877,9 @@ class EvaluationEngine:
         bperf: Optional["BatchPerf"],
     ) -> None:
         instrument = self._instrumented
-        with _pool_for(min(self.workers, len(remaining))) as pool:
+        with _pool_for(
+            min(self.workers, len(remaining)), self.workers
+        ) as pool:
             futures: Dict[Any, int] = {}
 
             def submit(index: int) -> None:

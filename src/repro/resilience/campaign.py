@@ -611,6 +611,10 @@ def run_campaigns(
     """
     from ..engine import pool_scope
 
+    # The scenarios are walked once per class: read one-shot iterables
+    # once, up front.
+    user_classes = tuple(user_classes)
+    scenarios = tuple(scenarios)
     results: List[CampaignResult] = []
     with pool_scope():
         for c, user_class in enumerate(user_classes):

@@ -202,7 +202,11 @@ def simulate_user_availability_over_time(
     horizon:
         Simulated time span, in the availability-model time unit.
     rng:
-        Random generator (caller owns seeding).
+        Random generator (caller owns seeding).  On return, and when the
+        call raises, it is in the state one scalar ``rng.exponential``
+        per simulated transition would leave.  During the call, though,
+        it is consumed in blocks of sojourn draws, so nothing else (an
+        *observer* in particular) may draw from it while the call runs.
     default_repair_rate:
         Repair rate assigned to resources that only carry an
         availability number.
@@ -228,6 +232,8 @@ def simulate_user_availability_over_time(
         applied :class:`FaultEvent`.  ``None`` (the default) costs one
         ``is not None`` check per segment, preserving the additive-
         observability guarantee: results are bit-identical either way.
+        An observer that samples (such as the session sampler) needs a
+        generator of its own, never *rng*.
 
     Returns
     -------
@@ -349,96 +355,126 @@ def simulate_user_availability_over_time(
     services_up = 0
     stale = range(len(structures))  # every service, once up front
     never = float("inf")
+    fault_time = timeline[0].time if timeline else never
 
-    while True:
-        for k in stale:
-            key = effective & component_masks[k]
-            state = state_memo[k].get(key)
-            if state is None:
-                state = state_memo[k][key] = structure_function(
-                    structures[k],
-                    {name: bool(key & bit) for name, bit in components[k]},
-                )
-            if state:
-                services_up |= 1 << k
-            else:
-                services_up &= ~(1 << k)
-        current = availability_memo.get(services_up)
-        if current is None:
-            current = availability_memo[services_up] = sum(
-                weight
-                for weight, required in terms
-                if required & services_up == required
-            )
-        if not clock < horizon:
-            break
-        if cancellation is not None:
-            cancellation.count_event()
-        resource_time, i = calendar[0] if calendar else (never, -1)
-        fault_time = (
-            timeline[next_fault].time if next_fault < len(timeline) else never
-        )
-        event_time = min(resource_time, fault_time)
-        step_end = min(event_time, horizon)
-        dt = step_end - clock
-        weighted_availability += current * dt
-        if effective == all_up:
-            fully_up_time += dt
-        if current == 0.0:
-            outage_time += dt
-        if observer is not None and dt > 0.0:
-            observer.interval(clock, step_end, current)
-        clock = step_end
-        if event_time > horizon:
-            break
-        if fault_time <= resource_time:
-            event = timeline[next_fault]
-            touched = {index[r] for r in event.force_down | event.release}
-            for name in event.force_down:
-                forced[index[name]] += 1
-            for name in event.release:
-                if forced[index[name]] <= 0:
-                    raise SimulationError(
-                        f"fault event at t={event.time} releases {name!r}, "
-                        "which is not forced down"
+    # Sojourns are drawn in blocks: mean * standard_exponential() is the
+    # same float, from the same bits, as the scalar rng.exponential(mean).
+    # Each block starts from a saved generator state; on the way out the
+    # unused tail is given back by restoring that state and redrawing
+    # only what was used, so the caller's generator ends exactly where
+    # one scalar draw per transition would have left it.
+    block = []
+    used = 0  # values of the current block taken so far
+    block_size = 16
+    saved = None
+    try:
+        while True:
+            for k in stale:
+                key = effective & component_masks[k]
+                state = state_memo[k].get(key)
+                if state is None:
+                    state = state_memo[k][key] = structure_function(
+                        structures[k],
+                        {name: bool(key & bit)
+                         for name, bit in components[k]},
                     )
-                forced[index[name]] -= 1
-            for r in touched:
-                if up[r] and not forced[r]:
-                    effective |= 1 << r
+                if state:
+                    services_up |= 1 << k
                 else:
-                    effective &= ~(1 << r)
-            stale = {k for r in touched for k in dependents[r]}
-            if event.service_factors:
-                factors.update(event.service_factors)
-                for k, (weight, members, required) in enumerate(weighted_sets):
-                    product = 1.0
-                    for service in sorted(members):
-                        product *= factors.get(service, 1.0)
-                    terms[k] = (weight * product, required)
-                availability_memo.clear()
-            if observer is not None:
-                observer.fault(event.time, event)
-            next_fault += 1
-            applied += 1
-        else:
-            # Flip the resource's natural state and schedule its next
-            # transition; the effective state honours forced windows.
-            up[i] = not up[i]
-            if not forced[i]:
-                effective ^= 1 << i
-            stale = dependents[i]
-            heapq.heapreplace(
-                calendar, (clock + rng.exponential(mean_time[i][not up[i]]), i)
-            )
-            transitions += 1
-            if transitions > max_transitions:
-                raise SimulationError(
-                    f"exceeded max_transitions={max_transitions} after "
-                    f"{transitions} resource transitions at sim-time "
-                    f"{clock:.6g} of horizon {horizon:.6g}; rates may be far "
-                    "larger than the horizon warrants"
+                    services_up &= ~(1 << k)
+            current = availability_memo.get(services_up)
+            if current is None:
+                current = availability_memo[services_up] = sum(
+                    weight
+                    for weight, required in terms
+                    if required & services_up == required
                 )
+            if not clock < horizon:
+                break
+            if cancellation is not None:
+                cancellation.count_event()
+            resource_time, i = calendar[0] if calendar else (never, -1)
+            # min() without the calls, picking as min() does on a tie; a
+            # fault still wins a tie with a resource event (below).
+            event_time = (
+                fault_time if fault_time < resource_time else resource_time
+            )
+            step_end = horizon if horizon < event_time else event_time
+            dt = step_end - clock
+            weighted_availability += current * dt
+            if effective == all_up:
+                fully_up_time += dt
+            if current == 0.0:
+                outage_time += dt
+            if observer is not None and dt > 0.0:
+                observer.interval(clock, step_end, current)
+            clock = step_end
+            if event_time > horizon:
+                break
+            if fault_time <= resource_time:
+                event = timeline[next_fault]
+                touched = {index[r] for r in event.force_down | event.release}
+                for name in event.force_down:
+                    forced[index[name]] += 1
+                for name in event.release:
+                    if forced[index[name]] <= 0:
+                        raise SimulationError(
+                            f"fault event at t={event.time} releases "
+                            f"{name!r}, which is not forced down"
+                        )
+                    forced[index[name]] -= 1
+                for r in touched:
+                    if up[r] and not forced[r]:
+                        effective |= 1 << r
+                    else:
+                        effective &= ~(1 << r)
+                stale = {k for r in touched for k in dependents[r]}
+                if event.service_factors:
+                    factors.update(event.service_factors)
+                    for k, (weight, members, required) in enumerate(
+                        weighted_sets
+                    ):
+                        product = 1.0
+                        for service in sorted(members):
+                            product *= factors.get(service, 1.0)
+                        terms[k] = (weight * product, required)
+                    availability_memo.clear()
+                if observer is not None:
+                    observer.fault(event.time, event)
+                next_fault += 1
+                applied += 1
+                fault_time = (
+                    timeline[next_fault].time
+                    if next_fault < len(timeline)
+                    else never
+                )
+            else:
+                # Flip the resource's natural state and schedule its next
+                # transition; the effective state honours forced windows.
+                up[i] = not up[i]
+                if not forced[i]:
+                    effective ^= 1 << i
+                stale = dependents[i]
+                if used == len(block):
+                    saved = rng.bit_generator.state
+                    block = rng.standard_exponential(block_size).tolist()
+                    used = 0
+                    block_size = min(2 * block_size, 1024)
+                sojourn = mean_time[i][not up[i]] * block[used]
+                heapq.heapreplace(calendar, (clock + sojourn, i))
+                used += 1
+                transitions += 1
+                if transitions > max_transitions:
+                    raise SimulationError(
+                        f"exceeded max_transitions={max_transitions} after "
+                        f"{transitions} resource transitions at sim-time "
+                        f"{clock:.6g} of horizon {horizon:.6g}; rates may be "
+                        "far larger than the horizon warrants"
+                    )
+    finally:
+        if used < len(block):
+            rng.bit_generator.state = saved
+            rng.standard_exponential(used)
 
     return EndToEndResult(
         horizon=horizon,

@@ -110,11 +110,42 @@ class TestScopeRobustness:
             again = EvaluationEngine(workers=2).map(_cube, items)
             assert again.outputs == reference
             assert again.respawns == 0
-            # The second map borrowed a live pool (the respawn pass's, or
-            # a replacement when that pass needed fewer workers).
-            assert not pools[-1].shut_down
+            # The second map borrowed the respawn pass's live pool.
+            assert len(pools) == 2 and not pools[-1].shut_down
             assert pools[-1].submitters
         assert all(pool.shut_down for pool in pools)
+        assert multiprocessing.active_children() == []
+
+    def test_respawn_pool_serves_the_next_full_batch(self, pools, tmp_path):
+        # However few tasks the respawn pass has left, the scope builds
+        # its pool at the engine's workers, so the next full batch
+        # borrows it instead of starting a third pool.
+        items = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        reference = EvaluationEngine().map(_cube, items).outputs
+        for repetition in range(20):
+            pools.clear()
+            plan = ChaosPlan(
+                state_dir=str(tmp_path / f"state-{repetition}"),
+                kill_tasks=(1,),
+            )
+            with pool_scope():
+                engine = EvaluationEngine(workers=2, chaos=plan)
+                assert engine.map(_cube, items).outputs == reference
+                full = EvaluationEngine(workers=2).map(_cube, items)
+                assert full.outputs == reference
+            assert len(pools) == 2, repetition
+            assert all(pool.shut_down for pool in pools)
+        assert multiprocessing.active_children() == []
+
+    def test_pool_is_never_wider_than_the_engine(self, pools):
+        items = [1.0, 2.0, 3.0, 4.0]
+        with pool_scope():
+            for workers in (3, 2, 2):
+                outputs = EvaluationEngine(workers=workers).map(_cube, items)
+                assert outputs.outputs == (1.0, 8.0, 27.0, 64.0)
+            # The 3-wide pool is replaced for the 2-worker engine, whose
+            # second map borrows the 2-wide one.
+            assert [pool._max_workers for pool in pools] == [3, 2]
         assert multiprocessing.active_children() == []
 
     def test_cancelled_grid_leaves_no_worker(self, pools):

@@ -104,3 +104,18 @@ class TestRunCampaigns:
             (CLASS_B.name, "scheduled-outage"),
         }
         assert len({r.seed for r in results}) == 4
+
+    def test_one_shot_iterables_give_the_list_results(self):
+        grid = dict(horizon=100.0, replications=2, seed=3)
+        from_lists = run_campaigns(
+            TA.hierarchical_model, [CLASS_A, CLASS_B], [NullScenario()],
+            **grid,
+        )
+        from_generators = run_campaigns(
+            TA.hierarchical_model,
+            (c for c in [CLASS_A, CLASS_B]),
+            (s for s in [NullScenario()]),
+            **grid,
+        )
+        assert len(from_lists) == 2
+        assert from_generators == from_lists

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -762,6 +763,12 @@ class TestSloCommand:
         out = capsys.readouterr().out
         assert "alert log:" in out
         assert "FIRE" in out and "CLEAR" in out
+        # CI's run, pinned byte for byte: the one CLI path whose
+        # simulator runs with an observer, whose session sampler draws
+        # from its own generator while the loop draws in blocks.
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7a1f7b43990ec54a7024c45180d7dd1a6ca27953f0741337f94d99dcfd8988fd"
+        )
 
     def test_invalid_session_rate_is_a_one_line_error(self, capsys):
         assert main([
