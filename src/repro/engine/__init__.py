@@ -15,8 +15,8 @@ fast without changing a single digit of their results:
   (:class:`~repro.runtime.CancellationToken`), heartbeats, journaled
   resume for interrupted parallel runs, worker-crash respawn, and
   per-task retry under a :class:`TaskRetryPolicy`
-  (:mod:`~repro.engine.retry`); :func:`pool_scope` lets the batches of
-  one grid share one worker pool;
+  (:mod:`~repro.engine.retry`); each thread holds one worker pool that
+  its batches borrow, and :func:`shutdown_pool` shuts them down;
 * :mod:`~repro.engine.cache` — :class:`MemoCache`: a content-addressed
   memo store (in-memory LRU + optional on-disk level) keyed by
   :func:`canonical_key` hashes of the full evaluation spec, with
@@ -33,7 +33,7 @@ contract, and the cache-key scheme.
 """
 
 from .cache import CacheStats, MemoCache, canonical_key
-from .executor import BatchResult, EvaluationEngine, pool_scope
+from .executor import BatchResult, EvaluationEngine, shutdown_pool
 from .retry import TaskRetryPolicy
 
 __all__ = [
@@ -43,5 +43,5 @@ __all__ = [
     "MemoCache",
     "TaskRetryPolicy",
     "canonical_key",
-    "pool_scope",
+    "shutdown_pool",
 ]

@@ -10,12 +10,18 @@ comparison grids, and ``retries --simulate``.  One set of rules applies:
   the cache before anything runs.
 * With ``workers=1``, or at most one item left to compute, the batch
   runs in-process and no pool is built.
-* Otherwise one supervised pool of ``min(workers, pending)`` processes
-  runs the rest, submitted in item order.  The work function is checked
-  for picklability once, before the pool is built.  Inside a
-  :func:`pool_scope` the scope builds the pool at the engine's
-  ``workers`` and it outlives the batch: later batches on the same
-  thread borrow it instead of starting their own.
+* Otherwise a supervised pool of at least ``min(workers, pending)``
+  and at most ``workers`` processes runs the rest, submitted in item
+  order.  The work function is checked for picklability once, before
+  the pool is used.
+* Each thread holds one pool, forked by its first batch that needs
+  one, at its engine's ``workers``, on the default start method.  It
+  outlives the batch: the thread's later batches borrow it while it is
+  wide enough, no wider than their engine's ``workers``, and the
+  module bindings of ``repro`` and ``__main__`` are those it was
+  forked with; otherwise it is replaced.  A worker death replaces it.
+  It is shut down when its thread ends, at interpreter exit, or by
+  :func:`shutdown_pool`.
 * Chaos injections fire by item index.
 
 Behind the entry point sit these guarantees:
@@ -65,8 +71,10 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import sys
 import threading
 import time
+import weakref
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -75,12 +83,13 @@ from concurrent.futures import (
 )
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from itertools import chain
+from operator import is_
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    ContextManager,
     Dict,
     Iterable,
     Iterator,
@@ -108,94 +117,109 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from ..obs.perf import BatchPerf, PerfRecorder
     from ..obs.tracing import Tracer
 
-__all__ = ["EvaluationEngine", "BatchResult", "pool_scope"]
+__all__ = ["EvaluationEngine", "BatchResult", "shutdown_pool"]
 
 JournalLike = Union[Journal, str, Path]
 
 
-class _PoolScope:
-    """The worker pool one :func:`pool_scope` holds for its thread.
+def _bindings() -> Tuple[Any, ...]:
+    """What a forked worker inherits that a later pass may have changed.
 
-    At most one pool is held, built at the borrowing engine's
-    ``workers``.  A pass reuses it when it is at least as wide as the
-    pass needs and no wider than the engine's ``workers``; otherwise
-    the pass replaces it.
+    The module-level bindings of the ``repro`` package and of
+    ``__main__``, in order.  A worker runs the code bound when it was
+    forked: a function rebound since (a monkeypatch, a probe, the
+    ambient instrumentation) or defined in ``__main__`` since would not
+    reach it.
+    """
+    return tuple(chain.from_iterable([
+        # One C-level copy per module: another thread's import may add
+        # to a module while this runs.
+        tuple(vars(module).values())
+        for name, module in list(sys.modules.items())
+        if name == "__main__" or name == "repro" or name.startswith("repro.")
+    ]))
+
+
+class _Held:
+    """The worker pool one thread holds, and what its workers inherited.
+
+    Its finalizer shuts the pool down, once: when a pass replaces it,
+    when the thread ends and takes its thread-local state along, from
+    :func:`shutdown_pool`, or at interpreter exit.
     """
 
-    __slots__ = ("_pool", "_size")
+    __slots__ = ("pool", "size", "bindings", "shutdown", "__weakref__")
 
-    def __init__(self):
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._size = 0
+    def __init__(self, workers: int, bindings: Tuple[Any, ...]):
+        self.pool = ProcessPoolExecutor(max_workers=workers)
+        self.size = workers
+        self.bindings = bindings
+        self.shutdown = weakref.finalize(self, self.pool.shutdown)
 
-    @contextmanager
-    def borrow(
-        self, size: int, workers: int
-    ) -> Iterator[ProcessPoolExecutor]:
-        if self._pool is not None and not size <= self._size <= workers:
-            self.close()
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=workers)
-            self._size = workers
-        try:
-            yield self._pool
-        except BrokenExecutor:
-            # A dead worker broke the pool for good: the supervisor's
-            # next pass must start a fresh one.
-            self.close()
-            raise
+    def inherited(self, bindings: Tuple[Any, ...]) -> bool:
+        """Whether the workers were forked with exactly *bindings*.
 
-    def close(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        Compared by identity: a name rebound to an equal but distinct
+        object is a change too.
+        """
+        return (len(bindings) == len(self.bindings)
+                and all(map(is_, bindings, self.bindings)))
 
 
-_scopes = threading.local()
+# Each thread's held pool, and every live one (for shutdown_pool()).
+_local = threading.local()
+_every_held: "weakref.WeakSet[_Held]" = weakref.WeakSet()
+_every_held_lock = threading.Lock()
 
 
 @contextmanager
-def pool_scope() -> Iterator[None]:
-    """Share one worker pool among the engine batches run in the block.
-
-    While the scope is open on the current thread, every pool pass of
-    every :class:`EvaluationEngine` on that thread borrows the scope's
-    held ``ProcessPoolExecutor`` instead of starting and shutting down
-    its own, so a grid of small batches pays pool start-up once.  The
-    pool is built lazily, by the first pass that needs one, at its
-    engine's ``workers`` rather than the pass's ``min(workers,
-    pending)``, so a short pass (a respawn finishing one task) does not
-    leave a pool too narrow for the next full batch.  A pass reuses the
-    held pool when it is at least as wide as the pass needs and no
-    wider than the engine's ``workers``, and replaces it otherwise.  A
-    worker death drops the broken pool (the engine's respawn accounting
-    is unchanged) and the next pass starts a fresh one.  Leaving the
-    block shuts the pool down and waits for its workers, also on error
-    or cancellation.
-    Scopes are per thread: a pool is never shared between threads, and
-    outside any scope each pool pass owns its pool, as before.  A
-    nested scope holds its own pool and restores the outer one on exit.
-    Outputs never depend on whether a scope is open.
-    """
-    scope = _PoolScope()
-    previous = getattr(_scopes, "current", None)
-    _scopes.current = scope
-    try:
-        yield
-    finally:
-        _scopes.current = previous
-        scope.close()
-
-
-def _pool_for(
-    size: int, workers: int
-) -> ContextManager[ProcessPoolExecutor]:
+def _pool_for(size: int, workers: int) -> Iterator[ProcessPoolExecutor]:
     """The pool a pass of *size* processes runs on, for an engine of
-    *workers*: the open scope's, or one of its own."""
-    scope = getattr(_scopes, "current", None)
-    if scope is None:
-        return ProcessPoolExecutor(max_workers=size)
-    return scope.borrow(size, workers)
+    *workers*.
+
+    Each thread holds at most one pool, so concurrent batches on
+    different threads (server jobs) neither share workers nor break
+    each other's pools.  A pass borrows its thread's pool when
+    ``size <= held <= workers`` (wide enough, and no wider than its
+    engine allows) and the module bindings its workers were forked with
+    are still the current ones.  Otherwise the held pool is shut down
+    and a new one is forked, at the engine's *workers* rather than at
+    *size*, so a short pass (a respawn finishing one task) does not
+    leave a pool too narrow for the next full batch.  A worker death
+    drops the broken pool, and the supervisor's next pass forks a fresh
+    one.
+    """
+    bindings = _bindings()
+    held = getattr(_local, "held", None)
+    if held is not None and not (
+        held.shutdown.alive and size <= held.size <= workers
+        and held.inherited(bindings)
+    ):
+        held.shutdown()
+        held = None
+    if held is None:
+        held = _Held(workers, bindings)
+        _local.held = held
+        with _every_held_lock:
+            _every_held.add(held)
+    try:
+        yield held.pool
+    except BrokenExecutor:
+        held.shutdown()
+        raise
+
+
+def shutdown_pool() -> None:
+    """Shut down every worker pool the threads of this process hold.
+
+    Waits for their workers to exit.  Runs at interpreter exit; a server
+    calls it when it stops, once its job threads are idle.  The next
+    pass that needs a pool forks a new one.
+    """
+    with _every_held_lock:
+        every = list(_every_held)
+    for held in every:
+        held.shutdown()
 
 
 def _stats_delta(before: CacheStats, after: CacheStats) -> CacheStats:
@@ -664,7 +688,13 @@ class EvaluationEngine:
         fn:
             Work function of one argument.  With ``workers > 1`` it must
             be picklable (module-level); its argument and result must be
-            picklable too.
+            picklable too.  It may then run in workers forked by an
+            earlier batch of this thread.  They see a function defined
+            or rebound at module level in ``repro`` or ``__main__``
+            since (the pool is forked anew), but no other change, such
+            as a class attribute patched since or a module outside
+            those; :func:`shutdown_pool` makes the next batch fork
+            afresh.
         items:
             Task inputs; output order follows input order exactly.
         keys:
@@ -841,9 +871,9 @@ class EvaluationEngine:
     ) -> None:
         """Supervised process-pool backend.
 
-        Each *pool pass* drives one ``ProcessPoolExecutor`` (its own, or
-        the one an open :func:`pool_scope` holds) until every remaining
-        task completes or the pool breaks (a worker died).  A
+        Each *pool pass* drives one ``ProcessPoolExecutor`` (the one its
+        thread holds, see :func:`_pool_for`) until every remaining task
+        completes or the pool breaks (a worker died).  A
         broken pool costs one respawn from the ``max_respawns`` budget;
         the next pass re-dispatches exactly the tasks that had not
         completed, so supervised output is bit-identical to serial.
@@ -913,13 +943,17 @@ class EvaluationEngine:
                 for index in sorted(remaining):
                     submit(index)
                 while futures:
-                    self._check()
                     if bperf is not None:
                         bperf.sample_queue_depth(len(futures))
                     finished, _ = wait(
                         set(futures), return_when=FIRST_COMPLETED
                     )
                     for future in finished:
+                        # Read the token at every task boundary: one
+                        # wait() can return many finished tasks, and
+                        # those not yet completed when it fires stay
+                        # incomplete, so a resume re-runs them.
+                        self._check()
                         index = futures.pop(future)
                         try:
                             value = future.result()

@@ -64,7 +64,12 @@ from ..runtime.journal import (
     record_field,
     record_index,
 )
-from ..sim.endtoend import EndToEndResult, simulate_user_availability_over_time
+from ..sim.endtoend import (
+    CompiledSimulation,
+    EndToEndResult,
+    compile_simulation,
+    simulate_user_availability_over_time,
+)
 from .faults import FaultScenario, NullScenario
 
 __all__ = [
@@ -163,10 +168,9 @@ _REPLICATION_FIELDS = {
 
 def _replication(
     model: HierarchicalModel,
-    user_class: UserClass,
+    compiled: CompiledSimulation,
     scenario: FaultScenario,
     horizon: float,
-    default_repair_rate: float,
     item: Tuple[int, np.random.SeedSequence],
     cancellation: Optional[CancellationToken] = None,
     observer=None,
@@ -174,11 +178,13 @@ def _replication(
     """Replication ``index`` of ``item = (index, stream)``, resume-stable.
 
     The engine work function (module-level, so a ``partial`` of it
-    pickles).  In-process runs also pass the *cancellation* token,
-    polled per simulated transition, and the campaign *observer*,
-    re-based onto replication ``index``'s slice of the timeline; pool
-    workers get neither, so there cancellation has replication
-    granularity.
+    pickles).  *compiled* is *model* compiled once per cell for its
+    user class, so no replication recompiles it; the scenario still
+    compiles its fault timeline against *model*.  In-process runs also
+    pass the *cancellation* token, polled per simulated transition, and
+    the campaign *observer*, re-based onto replication ``index``'s slice
+    of the timeline; pool workers get neither, so there cancellation has
+    replication granularity.
     """
     index, stream = item
     if observer is not None:
@@ -186,11 +192,11 @@ def _replication(
     rng = np.random.default_rng(stream)
     faults = scenario.compile(model, horizon, rng)
     return simulate_user_availability_over_time(
-        model,
-        user_class,
+        compiled,
+        compiled.user_class,
         horizon=horizon,
         rng=rng,
-        default_repair_rate=default_repair_rate,
+        default_repair_rate=compiled.default_repair_rate,
         faults=faults,
         cancellation=cancellation,
         observer=observer,
@@ -266,9 +272,12 @@ def _run_replications(
         for index, stream in enumerate(streams)
         if index not in completed
     ]
+    # One compile per cell, here in the parent: the serial loop and
+    # every pool worker run the same compiled model.
     work = partial(
-        _replication, model, user_class, scenario, horizon,
-        default_repair_rate,
+        _replication, model,
+        compile_simulation(model, user_class, default_repair_rate),
+        scenario, horizon,
     )
     if workers == 1 or len(todo) <= 1:
         # The engine runs these in-process, so the replication itself
@@ -604,33 +613,29 @@ def run_campaigns(
     cancellation token and heartbeat are shared across cells (one
     deadline bounds the whole grid); *workers* parallelizes the
     replications within each cell.  Each cell is its own
-    :func:`run_campaign`, but one worker pool serves every cell (a
-    :func:`~repro.engine.pool_scope` around the grid), so the grid pays
-    pool start-up once, not once per cell; the pool is shut down before
-    this returns or raises.
+    :func:`run_campaign`; all of them borrow the worker pool their
+    thread holds (see :mod:`repro.engine.executor`), so a grid, and
+    every grid after it on the same thread, pays pool start-up once.
     """
-    from ..engine import pool_scope
-
     # The scenarios are walked once per class: read one-shot iterables
     # once, up front.
     user_classes = tuple(user_classes)
     scenarios = tuple(scenarios)
     results: List[CampaignResult] = []
-    with pool_scope():
-        for c, user_class in enumerate(user_classes):
-            for s, scenario in enumerate(scenarios):
-                results.append(
-                    run_campaign(
-                        model,
-                        user_class,
-                        scenario,
-                        horizon=horizon,
-                        replications=replications,
-                        seed=seed + 10_000 * c + 100 * s,
-                        default_repair_rate=default_repair_rate,
-                        cancellation=cancellation,
-                        heartbeat=heartbeat,
-                        workers=workers,
-                    )
+    for c, user_class in enumerate(user_classes):
+        for s, scenario in enumerate(scenarios):
+            results.append(
+                run_campaign(
+                    model,
+                    user_class,
+                    scenario,
+                    horizon=horizon,
+                    replications=replications,
+                    seed=seed + 10_000 * c + 100 * s,
+                    default_repair_rate=default_repair_rate,
+                    cancellation=cancellation,
+                    heartbeat=heartbeat,
+                    workers=workers,
                 )
+            )
     return results

@@ -44,6 +44,7 @@ import time
 from dataclasses import asdict
 from typing import Callable, List, Optional
 
+from ..engine.executor import shutdown_pool
 from ..errors import ReproError, ServerError, ValidationError
 from .http import (
     HttpProtocolError,
@@ -451,7 +452,8 @@ class ServerThread:
             ...
 
     The thread owns its own event loop; ``__exit__`` stops the server,
-    drains the default thread-pool executor, and joins the thread.
+    drains the default thread-pool executor, joins the thread, and shuts
+    down the worker pools its job threads held.
     Journals written by the server stay resumable across restarts.
     """
 
@@ -509,6 +511,9 @@ class ServerThread:
         if self._thread.is_alive():  # pragma: no cover - diagnostics
             raise ServerError("server thread did not stop in 30 s")
         self._thread = None
+        # Each job thread held a worker pool; their workers go with the
+        # server.
+        shutdown_pool()
 
     def __enter__(self) -> "ServerThread":
         return self.start()

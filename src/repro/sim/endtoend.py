@@ -35,7 +35,16 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -49,8 +58,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..runtime.budget import CancellationToken
 
 __all__ = [
+    "CompiledSimulation",
     "EndToEndResult",
     "FaultEvent",
+    "compile_simulation",
     "simulate_user_availability_over_time",
 ]
 
@@ -154,13 +165,13 @@ def _resource_rates(model: HierarchicalModel, default_repair_rate: float):
 
 def _validated_timeline(
     faults: Optional[Sequence[FaultEvent]],
-    model: HierarchicalModel,
+    compiled: "CompiledSimulation",
 ) -> Tuple[FaultEvent, ...]:
     """Fault events sorted by time, with resource/service names checked."""
     if not faults:
         return ()
-    resources = set(model.resources)
-    services = set(model.services)
+    resources = set(compiled.index)
+    services = set(compiled.services)
     for event in faults:
         unknown = (set(event.force_down) | set(event.release)) - resources
         if unknown:
@@ -177,8 +188,112 @@ def _validated_timeline(
     return tuple(sorted(faults, key=lambda e: e.time))
 
 
-def simulate_user_availability_over_time(
+@dataclass(frozen=True, eq=False)
+class CompiledSimulation:
+    """One (model, user class) pair, compiled for the simulation loop.
+
+    It holds everything the loop reads and never changes.  Resources
+    and services are indices in model order.  Each resource has its
+    two-state process and its (up, down) sojourn means.  The services a
+    session touches are a weighted list of required-service bitmasks.
+    Each service has its structure, its components' bits, and the
+    services each resource feeds.  Build it with
+    :func:`compile_simulation`, then pass it to
+    :func:`simulate_user_availability_over_time` in place of the model,
+    any number of times.  It is a snapshot: a model changed after the
+    compile needs a new one.  It pickles, so a campaign compiles once
+    and ships the result to its pool workers.
+    """
+
+    user_class: UserClass
+    default_repair_rate: float
+    index: Mapping[str, int]
+    services: Tuple[str, ...]
+    processes: Tuple[Optional[TwoStateAvailability], ...]
+    mean_time: Tuple[Optional[Tuple[float, float]], ...]
+    weighted_sets: Tuple[Tuple[float, FrozenSet[str], int], ...]
+    structures: Tuple[object, ...]
+    components: Tuple[Tuple[Tuple[str, int], ...], ...]
+    component_masks: Tuple[int, ...]
+    dependents: Tuple[Tuple[int, ...], ...]
+
+
+def compile_simulation(
     model: HierarchicalModel,
+    user_class: UserClass,
+    default_repair_rate: float = 1.0,
+) -> CompiledSimulation:
+    """Compile *model* for *user_class*.
+
+    The parameters are as in
+    :func:`simulate_user_availability_over_time`, which takes the result
+    in place of *model*.
+    """
+    default_repair_rate = check_rate(default_repair_rate,
+                                     "default_repair_rate")
+    rates = _resource_rates(model, default_repair_rate)
+    index = {name: i for i, name in enumerate(rates)}
+    processes = tuple(rates.values())
+
+    # Per scenario, the distribution of the union of services a session
+    # touches (independent of availabilities).  With boolean service
+    # states the session succeeds iff its union set is a subset of the
+    # currently-up services: a required-service mask test.
+    service_bit = {service: 1 << k for k, service in enumerate(model.services)}
+    weighted_sets = []
+    common = frozenset(model.common_services)
+    for scenario in user_class.scenarios:
+        union_dist: Dict[frozenset, float] = {common: 1.0}
+        for function in sorted(scenario.functions):
+            usage = model.function_service_usage(function)
+            combined: Dict[frozenset, float] = {}
+            for current, p_current in union_dist.items():
+                for touched, p_touched in usage.items():
+                    key = current | touched
+                    combined[key] = combined.get(key, 0.0) + p_current * p_touched
+            union_dist = combined
+        for service_set, probability in union_dist.items():
+            required = sum(service_bit[service] for service in service_set)
+            weighted_sets.append(
+                (scenario.probability * probability, service_set, required)
+            )
+
+    # Each service's structure function is evaluated on its own
+    # components' effective bits, and only the services depending on a
+    # flipped resource are re-evaluated.
+    structures = tuple(model.service_structure(s) for s in model.services)
+    components = tuple(
+        tuple((name, 1 << index[name])
+              for name in set(structure.component_names()))
+        for structure in structures
+    )
+    dependents = [[] for _ in processes]
+    for k, comps in enumerate(components):
+        for name, _ in comps:
+            dependents[index[name]].append(k)
+    return CompiledSimulation(
+        user_class=user_class,
+        default_repair_rate=default_repair_rate,
+        index=index,
+        services=tuple(model.services),
+        processes=processes,
+        mean_time=tuple(
+            None if process is None
+            else (1.0 / process.failure_rate, 1.0 / process.repair_rate)
+            for process in processes
+        ),
+        weighted_sets=tuple(weighted_sets),
+        structures=structures,
+        components=components,
+        component_masks=tuple(
+            sum(bit for _, bit in comps) for comps in components
+        ),
+        dependents=tuple(tuple(ks) for ks in dependents),
+    )
+
+
+def simulate_user_availability_over_time(
+    model: Union[HierarchicalModel, CompiledSimulation],
     user_class: UserClass,
     horizon: float,
     rng: np.random.Generator,
@@ -196,7 +311,11 @@ def simulate_user_availability_over_time(
         The hierarchical model; resources not built from
         :class:`TwoStateAvailability` (fixed numbers, web farms) are
         approximated by a two-state process with the same steady-state
-        availability and *default_repair_rate*.
+        availability and *default_repair_rate*.  Or a
+        :class:`CompiledSimulation` of it, from
+        :func:`compile_simulation` with this *user_class* and
+        *default_repair_rate*: the call then skips the compile, which
+        repeated runs of one model (campaign replications) share.
     user_class:
         The scenario mix to evaluate.
     horizon:
@@ -267,16 +386,53 @@ def simulate_user_availability_over_time(
     >>> out.average_user_availability < 0.5
     True
     """
-    horizon = check_positive(horizon, "horizon")
-    check_rate(default_repair_rate, "default_repair_rate")
-    rates = _resource_rates(model, default_repair_rate)
-    timeline = _validated_timeline(faults, model)
+    if not isinstance(model, CompiledSimulation):
+        compiled = compile_simulation(model, user_class, default_repair_rate)
+    elif (model.user_class != user_class
+          or model.default_repair_rate != default_repair_rate):
+        raise ValidationError(
+            f"the compiled simulation is for {model.user_class.name!r} at "
+            f"default_repair_rate={model.default_repair_rate}, not "
+            f"{user_class.name!r} at {default_repair_rate}"
+        )
+    else:
+        compiled = model
+    return _run_compiled(
+        compiled, horizon, rng, max_transitions, faults, cancellation,
+        observer,
+    )
 
-    # The model is compiled once: resources and services are indices in
-    # model order, their states int bitmasks, and every derived quantity
-    # is memoized on the bits it depends on (see docs/PERFORMANCE.md).
-    index = {name: i for i, name in enumerate(rates)}
-    processes = list(rates.values())
+
+def _run_compiled(
+    compiled: CompiledSimulation,
+    horizon: float,
+    rng: np.random.Generator,
+    max_transitions: int,
+    faults: Optional[Sequence[FaultEvent]],
+    cancellation: Optional["CancellationToken"],
+    observer: Optional[object],
+) -> EndToEndResult:
+    """The simulation loop over a :class:`CompiledSimulation`.
+
+    The parameters are those of
+    :func:`simulate_user_availability_over_time`.  Every call starts
+    from empty memo tables, so its result never depends on earlier
+    calls.
+    """
+    horizon = check_positive(horizon, "horizon")
+    timeline = _validated_timeline(faults, compiled)
+
+    # Resource and service states are int bitmasks, and every derived
+    # quantity is memoized on the bits it depends on (see
+    # docs/PERFORMANCE.md).
+    index = compiled.index
+    processes = compiled.processes
+    mean_time = compiled.mean_time
+    weighted_sets = compiled.weighted_sets
+    structures = compiled.structures
+    components = compiled.components
+    component_masks = compiled.component_masks
+    dependents = compiled.dependents
     all_up = (1 << len(processes)) - 1
 
     # Initial states drawn from each resource's steady state, so the time
@@ -284,12 +440,10 @@ def simulate_user_availability_over_time(
     # calendar is a heap of (next transition time, resource index): equal
     # times pop the lowest index.  Never-failing resources have no entry.
     up = [True] * len(processes)
-    mean_time = [None] * len(processes)  # (up, down) sojourn means
     calendar = []
     for i, process in enumerate(processes):
         if process is None:
             continue
-        mean_time[i] = (1.0 / process.failure_rate, 1.0 / process.repair_rate)
         up[i] = bool(rng.random() < process.availability)
         calendar.append((rng.exponential(mean_time[i][not up[i]]), i))
     heapq.heapify(calendar)
@@ -301,48 +455,15 @@ def simulate_user_availability_over_time(
     factors: Dict[str, float] = {}
     effective = sum(1 << i for i, state in enumerate(up) if state)
 
-    # Precompute, per scenario, the distribution of the union of services
-    # a session touches (independent of availabilities).  With boolean
-    # service states the session succeeds iff its union set is a subset
-    # of the currently-up services: a required-service mask test.
-    service_bit = {service: 1 << k for k, service in enumerate(model.services)}
-    weighted_sets = []
-    common = frozenset(model.common_services)
-    for scenario in user_class.scenarios:
-        union_dist: Dict[frozenset, float] = {common: 1.0}
-        for function in sorted(scenario.functions):
-            usage = model.function_service_usage(function)
-            combined: Dict[frozenset, float] = {}
-            for current, p_current in union_dist.items():
-                for touched, p_touched in usage.items():
-                    key = current | touched
-                    combined[key] = combined.get(key, 0.0) + p_current * p_touched
-            union_dist = combined
-        for service_set, probability in union_dist.items():
-            required = sum(service_bit[service] for service in service_set)
-            weighted_sets.append(
-                (scenario.probability * probability, service_set, required)
-            )
     # (weight x degradation factor, required mask); x * 1.0 == x exactly.
     terms = [(weight, required) for weight, _, required in weighted_sets]
 
-    # Each service's structure function is memoized on its own
-    # components' effective bits, and only services depending on a
-    # flipped resource are re-evaluated.  The conditional availability
-    # is memoized per service-up mask until a factor changes.
+    # Structure states are memoized per service on its components' bits;
+    # the conditional availability per service-up mask until a factor
+    # changes.
     from ..rbd import structure_function
 
-    structures = [model.service_structure(s) for s in model.services]
-    components = [
-        [(name, 1 << index[name]) for name in set(structure.component_names())]
-        for structure in structures
-    ]
-    component_masks = [sum(bit for _, bit in comps) for comps in components]
     state_memo = [{} for _ in structures]
-    dependents = [[] for _ in processes]
-    for k, comps in enumerate(components):
-        for name, _ in comps:
-            dependents[index[name]].append(k)
     availability_memo: Dict[int, float] = {}
 
     clock = 0.0

@@ -8,6 +8,22 @@ import pytest
 from repro.ta import TAParameters
 
 
+@pytest.fixture(autouse=True)
+def _fresh_worker_pool():
+    """Shut every held worker pool down after every test.
+
+    Pool workers are forked once and keep the state of that moment.
+    The engine re-forks a pool when a module-level binding changes, but
+    not for other state, so a pool left over from one test would not
+    see, say, a class attribute the next test patches.  Tests of pool
+    reuse reuse it within one test.
+    """
+    yield
+    from repro.engine import shutdown_pool
+
+    shutdown_pool()
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministically seeded random generator."""

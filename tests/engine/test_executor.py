@@ -170,12 +170,25 @@ class TestCancellation:
             engine.map(_cube, [1.0, 2.0])
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_deadline_read_at_every_task_boundary(self, workers):
+    def test_deadline_read_at_every_task_boundary(self, workers, monkeypatch):
         # A handful of tasks polls far fewer times than the token's clock
         # stride; the engine must still read the deadline at each one.
+        # Delaying every wait() lets all six tasks finish before the
+        # first one returns, so one wait() hands back several finished
+        # tasks, and the deadline must still be read between them.
+        import time
+
+        from repro.engine import executor
         from repro.errors import DeadlineExceededError
         from repro.runtime import Budget
 
+        real_wait = executor.wait
+
+        def slow_wait(*args, **kwargs):
+            time.sleep(0.3)
+            return real_wait(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "wait", slow_wait)
         now = [0.0]
         budget = Budget(wall_clock=5.0).start(clock=lambda: now[0])
         completed = []

@@ -1,18 +1,28 @@
-"""A pool scope shares one worker pool among the batches run inside it.
+"""Each thread holds one worker pool, and its engine batches borrow it.
 
-``run_campaigns`` opens one around its grid, so every cell borrows the
-same ``ProcessPoolExecutor``.  Sharing the pool must change neither
-outputs nor fault tolerance, and must never leave a worker behind.
+The thread's first pool pass forks it at its engine's ``workers``; the
+thread's later passes borrow it while it fits and the module bindings
+its workers inherited are current.  Holding the pool must change
+neither outputs nor fault tolerance, threads must not share one, and no
+worker may outlive its thread, interpreter exit or a server's stop.
+The autouse fixture in ``tests/conftest.py`` shuts the pools down after
+every test, so each test here starts without one.
 """
 
 import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import pytest
 
+from repro import _validation, workloads
 from repro.chaos import ChaosPlan
-from repro.engine import EvaluationEngine, pool_scope
-from repro.engine import executor
+from repro.core.interaction import InteractionDiagram
+from repro.engine import EvaluationEngine, executor, shutdown_pool
 from repro.errors import CancelledError
 from repro.resilience import (
     NullScenario,
@@ -21,6 +31,8 @@ from repro.resilience import (
     run_campaigns,
 )
 from repro.runtime import CancellationToken
+from repro.server import ServerClient, ServerThread
+from repro.sim.endtoend import compile_simulation
 from repro.ta import CLASS_A, CLASS_B, TravelAgencyModel
 
 TA = TravelAgencyModel()
@@ -31,11 +43,17 @@ SCENARIOS = (
     ),
 )
 GRID = dict(horizon=300.0, replications=3, seed=5)
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _cube(x):
     """Module-level so process-pool workers can unpickle it."""
     return x ** 3
+
+
+def _checked(x):
+    """Reads a ``repro`` module binding at call time, in the worker."""
+    return _validation.check_positive(x, "x")
 
 
 @pytest.fixture
@@ -64,13 +82,22 @@ def pools(monkeypatch):
     return built
 
 
+def _stopped(pools):
+    """Shut the held pools down; every pool built is then shut down and
+    no worker process is left."""
+    shutdown_pool()
+    return (
+        all(pool.shut_down for pool in pools)
+        and multiprocessing.active_children() == []
+    )
+
+
 class TestCampaignGridSharesOnePool:
     def test_two_by_two_grid_builds_one_pool(self, pools):
         grid = (TA.hierarchical_model, (CLASS_A, CLASS_B), SCENARIOS)
         parallel = run_campaigns(*grid, workers=2, **GRID)
         assert len(pools) == 1
-        assert pools[0].shut_down
-        assert multiprocessing.active_children() == []
+        assert not pools[0].shut_down  # held for the next grid
 
         assert run_campaigns(*grid, workers=1, **GRID) == parallel
         separate = [
@@ -83,15 +110,30 @@ class TestCampaignGridSharesOnePool:
             for s, scenario in enumerate(SCENARIOS)
         ]
         assert separate == parallel
+        assert _stopped(pools)
 
-    def test_map_outside_a_scope_owns_its_pool(self, pools):
+    def test_two_fault_campaign_calls_build_one_pool(self, pools):
+        args = dict(user_class="both", horizon=200.0, replications=4,
+                    seed=11)
+        first = workloads.run_fault_campaigns("null", workers=2, **args)
+        second = workloads.run_fault_campaigns("lan-host", workers=2, **args)
+        assert len(pools) == 1
+        assert pools[0].creator == threading.get_ident()
+        assert first == workloads.run_fault_campaigns(
+            "null", workers=1, **args
+        )
+        assert second == workloads.run_fault_campaigns(
+            "lan-host", workers=1, **args
+        )
+        assert _stopped(pools)
+
+    def test_maps_borrow_the_held_pool(self, pools):
         items = [1.0, 2.0, 3.0]
-        engine = EvaluationEngine(workers=2)
         for _ in range(2):
-            assert engine.map(_cube, items).outputs == (1.0, 8.0, 27.0)
-        assert len(pools) == 2
-        assert all(pool.shut_down for pool in pools)
-        assert multiprocessing.active_children() == []
+            outputs = EvaluationEngine(workers=2).map(_cube, items).outputs
+            assert outputs == (1.0, 8.0, 27.0)
+        assert len(pools) == 1 and not pools[0].shut_down
+        assert _stopped(pools)
 
 
 class TestScopeRobustness:
@@ -99,26 +141,22 @@ class TestScopeRobustness:
         items = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         reference = EvaluationEngine().map(_cube, items).outputs
         plan = ChaosPlan(state_dir=str(tmp_path / "state"), kill_tasks=(1,))
-        with pool_scope():
-            survived = EvaluationEngine(workers=2, chaos=plan).map(
-                _cube, items
-            )
-            assert survived.outputs == reference
-            assert survived.respawns == 1
-            # The broken pool was dropped; the respawn pass built another.
-            assert len(pools) == 2 and pools[0].shut_down
-            again = EvaluationEngine(workers=2).map(_cube, items)
-            assert again.outputs == reference
-            assert again.respawns == 0
-            # The second map borrowed the respawn pass's live pool.
-            assert len(pools) == 2 and not pools[-1].shut_down
-            assert pools[-1].submitters
-        assert all(pool.shut_down for pool in pools)
-        assert multiprocessing.active_children() == []
+        survived = EvaluationEngine(workers=2, chaos=plan).map(_cube, items)
+        assert survived.outputs == reference
+        assert survived.respawns == 1
+        # The broken pool was dropped; the respawn pass built another.
+        assert len(pools) == 2 and pools[0].shut_down
+        again = EvaluationEngine(workers=2).map(_cube, items)
+        assert again.outputs == reference
+        assert again.respawns == 0
+        # The second map borrowed the respawn pass's live pool.
+        assert len(pools) == 2 and not pools[-1].shut_down
+        assert pools[-1].submitters
+        assert _stopped(pools)
 
     def test_respawn_pool_serves_the_next_full_batch(self, pools, tmp_path):
-        # However few tasks the respawn pass has left, the scope builds
-        # its pool at the engine's workers, so the next full batch
+        # However few tasks the respawn pass has left, it builds the
+        # held pool at the engine's workers, so the next full batch
         # borrows it instead of starting a third pool.
         items = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         reference = EvaluationEngine().map(_cube, items).outputs
@@ -128,25 +166,23 @@ class TestScopeRobustness:
                 state_dir=str(tmp_path / f"state-{repetition}"),
                 kill_tasks=(1,),
             )
-            with pool_scope():
-                engine = EvaluationEngine(workers=2, chaos=plan)
-                assert engine.map(_cube, items).outputs == reference
-                full = EvaluationEngine(workers=2).map(_cube, items)
-                assert full.outputs == reference
+            engine = EvaluationEngine(workers=2, chaos=plan)
+            assert engine.map(_cube, items).outputs == reference
+            full = EvaluationEngine(workers=2).map(_cube, items)
+            assert full.outputs == reference
             assert len(pools) == 2, repetition
-            assert all(pool.shut_down for pool in pools)
-        assert multiprocessing.active_children() == []
+            assert _stopped(pools), repetition
 
     def test_pool_is_never_wider_than_the_engine(self, pools):
         items = [1.0, 2.0, 3.0, 4.0]
-        with pool_scope():
-            for workers in (3, 2, 2):
-                outputs = EvaluationEngine(workers=workers).map(_cube, items)
-                assert outputs.outputs == (1.0, 8.0, 27.0, 64.0)
-            # The 3-wide pool is replaced for the 2-worker engine, whose
-            # second map borrows the 2-wide one.
-            assert [pool._max_workers for pool in pools] == [3, 2]
-        assert multiprocessing.active_children() == []
+        for workers in (3, 2, 2):
+            outputs = EvaluationEngine(workers=workers).map(_cube, items)
+            assert outputs.outputs == (1.0, 8.0, 27.0, 64.0)
+        # The 3-wide pool is replaced for the 2-worker engine, whose
+        # second map borrows the 2-wide one.
+        assert [pool._max_workers for pool in pools] == [3, 2]
+        assert [pool.shut_down for pool in pools] == [True, False]
+        assert _stopped(pools)
 
     def test_cancelled_grid_leaves_no_worker(self, pools):
         token = CancellationToken()
@@ -161,27 +197,38 @@ class TestScopeRobustness:
                 workers=2, cancellation=token, heartbeat=cancel_after_first,
                 horizon=300.0, replications=4, seed=5,
             )
-        assert len(pools) == 1 and pools[0].shut_down
-        assert multiprocessing.active_children() == []
+        # The grid started no pool of its own, and the held one still
+        # serves the next batch.
+        assert len(pools) == 1
+        outputs = EvaluationEngine(workers=2).map(_cube, [1.0, 2.0]).outputs
+        assert outputs == (1.0, 8.0)
+        assert len(pools) == 1
+        assert _stopped(pools)
 
-    def test_threads_never_share_a_pool(self, pools):
-        items = [1.0, 2.0, 3.0]
-        opened = [threading.Event(), threading.Event()]
-        outputs = {}
+    def test_threads_never_share_a_pool(self, pools, tmp_path):
+        # Two threads map at once, each on a pool of its own.  A worker
+        # killed in one thread's batch breaks only that thread's pool:
+        # the other batch spends no respawn and keeps its pool.
+        items = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        reference = EvaluationEngine().map(_cube, items).outputs
+        plan = ChaosPlan(state_dir=str(tmp_path / "state"), kill_tasks=(1,))
+        engines = (
+            EvaluationEngine(workers=2, chaos=plan),
+            EvaluationEngine(workers=2, max_respawns=1),
+        )
+        start = threading.Barrier(2)
+        results = {}
         errors = []
 
         def run(me):
             try:
-                with pool_scope():
-                    engine = EvaluationEngine(workers=2)
-                    outputs[me] = [engine.map(_cube, items).outputs]
-                    opened[me].set()
-                    # Both scopes hold a pool before either runs again.
-                    assert opened[1 - me].wait(timeout=60)
-                    outputs[me].append(engine.map(_cube, items).outputs)
+                start.wait(timeout=60)
+                results[me] = [engines[me].map(_cube, items)]
+                start.wait(timeout=60)
+                results[me].append(engines[me].map(_cube, items))
             except Exception as exc:  # surfaced in the main thread
                 errors.append(exc)
-                opened[me].set()
+                start.abort()
 
         threads = [threading.Thread(target=run, args=(me,)) for me in (0, 1)]
         for thread in threads:
@@ -191,13 +238,148 @@ class TestScopeRobustness:
             assert not thread.is_alive()
         assert errors == []
         for me in (0, 1):
-            assert outputs[me] == [(1.0, 8.0, 27.0)] * 2
-        # One pool per thread, used by its own thread only.
-        assert len(pools) == 2
+            assert [r.outputs for r in results[me]] == [reference] * 2
+        assert [r.respawns for r in results[0]] == [1, 0]
+        assert [r.respawns for r in results[1]] == [0, 0]
+        # Three pools: one per thread, and the killed one's replacement,
+        # each used by its own thread only.
+        assert len(pools) == 3
         for pool in pools:
             assert pool.submitters == {pool.creator}
-            assert pool.shut_down
         assert {pool.creator for pool in pools} == {
             thread.ident for thread in threads
         }
+        # A thread's pool goes with the thread.
+        assert all(pool.shut_down for pool in pools)
         assert multiprocessing.active_children() == []
+
+
+class TestStaleWorkers:
+    def test_a_rebinding_reaches_the_workers(self, pools, monkeypatch):
+        # Workers forked before a module-level function is rebound would
+        # run the old one; the pool is forked anew instead.
+        items = [1.0, 2.0]
+        engine = EvaluationEngine(workers=2)
+        check_positive = _validation.check_positive
+        assert engine.map(_checked, items).outputs == (1.0, 2.0)
+        monkeypatch.setattr(_validation, "check_positive",
+                            lambda value, name: -value)
+        assert engine.map(_checked, items).outputs == (-1.0, -2.0)
+        assert engine.map(_checked, items).outputs == (-1.0, -2.0)
+        assert len(pools) == 2 and pools[0].shut_down
+        monkeypatch.setattr(_validation, "check_positive", check_positive)
+        assert engine.map(_checked, items).outputs == (1.0, 2.0)
+        assert len(pools) == 3
+        assert _stopped(pools)
+
+    def test_a_main_function_defined_after_the_first_batch(self):
+        # The script defines a work function in __main__ after its
+        # first pool batch; workers forked before would not find it.
+        script = textwrap.dedent("""
+            from repro.engine import EvaluationEngine
+
+            def square(x):
+                return x * x
+
+            engine = EvaluationEngine(workers=2)
+            result = engine.map(square, [1, 2, 3])
+            print(result.outputs, result.respawns)
+
+            def cube(x):
+                return x ** 3
+
+            result = engine.map(cube, [1, 2, 3])
+            print(result.outputs, result.respawns)
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["(1, 4, 9) 0", "(1, 8, 27) 0"]
+
+
+class TestNoWorkerOutlives:
+    def test_interpreter_exit(self):
+        script = textwrap.dedent("""
+            import multiprocessing
+            from repro import workloads
+
+            workloads.run_fault_campaigns(
+                "null", user_class="A", horizon=10.0, replications=2,
+                seed=0, workers=2,
+            )
+            print(*sorted(p.pid for p in multiprocessing.active_children()))
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_server_stop(self):
+        with ServerThread(slots=1, queue_limit=4) as handle:
+            client = ServerClient(port=handle.port)
+            client.run("campaign", {
+                "scenario": "null", "user_class": "A", "horizon": 50.0,
+                "replications": 2, "workers": 2,
+            })
+            # The job's pool outlives the job ...
+            assert multiprocessing.active_children() != []
+        # ... but not the server.
+        assert multiprocessing.active_children() == []
+
+
+class TestCompileOnce:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_interaction_diagrams_validated_once_per_cell(
+        self, workers, monkeypatch
+    ):
+        # A cell compiles its model once, in the parent; neither the
+        # serial loop nor a pool worker compiles per replication.  The
+        # counter lives in shared memory so the forked workers' calls
+        # count too.
+        calls = multiprocessing.get_context("fork").Value("i", 0)
+        validate = InteractionDiagram.validate
+
+        def counted(self, *args, **kwargs):
+            with calls.get_lock():
+                calls.value += 1
+            return validate(self, *args, **kwargs)
+
+        monkeypatch.setattr(InteractionDiagram, "validate", counted)
+
+        def count(fn, *args):
+            calls.value = 0
+            fn(*args)
+            return calls.value
+
+        setup = count(workloads.fault_campaign_setup, "null", "basic")
+        model, _ = workloads.fault_campaign_setup("null", "basic")
+        per_cell = 0
+        for user_class in workloads.selected_classes("both"):
+            compiled = count(compile_simulation, model, user_class)
+            assert compiled == 26
+            analytic = count(model.user_availability, user_class)
+            per_cell += compiled + analytic
+
+        total = count(
+            lambda: workloads.run_fault_campaigns(
+                "null", architecture="basic", user_class="both",
+                horizon=1000.0, replications=4, seed=3, workers=workers,
+            )
+        )
+        assert total == setup + per_cell

@@ -125,3 +125,37 @@ class TestStructure:
             simulate_user_availability_over_time(
                 small_model(), all_users(), horizon=0.0, rng=rng
             )
+
+
+class TestCompiledModel:
+    def test_compiled_model_runs_like_the_model(self):
+        from repro.sim.endtoend import compile_simulation
+
+        model, users = small_model(), all_users()
+        compiled = compile_simulation(model, users, default_repair_rate=2.0)
+        runs = [
+            simulate_user_availability_over_time(
+                source, users, horizon=500.0,
+                rng=np.random.default_rng(3), default_repair_rate=2.0,
+            )
+            for source in (model, compiled, compiled)
+        ]
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_compiled_for_another_class_or_rate_is_refused(self, rng):
+        from repro.errors import ValidationError
+        from repro.sim.endtoend import compile_simulation
+
+        compiled = compile_simulation(small_model(), all_users())
+        others = UserClass.from_probabilities(
+            "others", {frozenset({"home"}): 1.0}
+        )
+        with pytest.raises(ValidationError, match="compiled simulation"):
+            simulate_user_availability_over_time(
+                compiled, others, horizon=10.0, rng=rng
+            )
+        with pytest.raises(ValidationError, match="compiled simulation"):
+            simulate_user_availability_over_time(
+                compiled, all_users(), horizon=10.0, rng=rng,
+                default_repair_rate=2.0,
+            )
