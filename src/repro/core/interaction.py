@@ -11,7 +11,8 @@ alternative executions; each Begin->End path is a *function scenario*.
 The function's availability is the expectation, over scenarios, of the
 product of the availabilities of the distinct services the scenario
 touches — eq. "A(Browse)" of Table 6 is exactly this computation on the
-Fig. 3 diagram.
+Fig. 3 diagram (:func:`expected_product`).  A diagram is read once,
+when its :class:`~repro.core.levels.Function` is built.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Tuple
 from .._validation import check_probability
 from ..errors import ModelStructureError, ValidationError
 
-__all__ = ["InteractionDiagram", "FunctionScenario"]
+__all__ = ["InteractionDiagram", "FunctionScenario", "expected_product"]
 
 BEGIN = "Begin"
 END = "End"
@@ -212,19 +213,33 @@ class InteractionDiagram:
         """Function availability given per-service availabilities.
 
         ``sum over scenarios of  q_scenario * prod_{s in services} A(s)``
-        — the function-level equations of the paper's Table 6.  Each
-        service set is multiplied in sorted order: frozenset iteration
-        follows ``PYTHONHASHSEED``, and float products depend on order.
+        — the function-level equations of the paper's Table 6.
         """
-        total = 0.0
-        for services, prob in self.service_usage_distribution().items():
-            product = prob
-            for service in sorted(services):
-                try:
-                    product *= service_availability[service]
-                except KeyError:
-                    raise ValidationError(
-                        f"{self.name}: no availability for service {service!r}"
-                    ) from None
-            total += product
-        return total
+        return expected_product(
+            self.service_usage_distribution(), service_availability, self.name
+        )
+
+
+def expected_product(
+    distribution: Mapping[FrozenSet[str], float],
+    service_availability: Mapping[str, float],
+    owner: str,
+) -> float:
+    """``sum over sets of  prob(set) * prod_{s in set} A(s)``.
+
+    Each set is multiplied in sorted order: frozenset iteration follows
+    ``PYTHONHASHSEED``, and float products depend on order.  *owner*
+    names the caller in the error for a service without availability.
+    """
+    total = 0.0
+    for services, prob in distribution.items():
+        product = prob
+        for service in sorted(services):
+            try:
+                product *= service_availability[service]
+            except KeyError:
+                raise ValidationError(
+                    f"{owner}: no availability for service {service!r}"
+                ) from None
+        total += product
+    return total

@@ -7,7 +7,8 @@
 * :class:`Service` — a reliability block diagram over resources (internal
   services), or a single black-box resource (external services).
 * :class:`Function` — a site function, with an optional interaction
-  diagram describing which services each execution touches.
+  diagram describing which services each execution touches; the
+  diagram is read once, when the function is built.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 from .._validation import check_probability
 from ..errors import ValidationError
 from ..rbd import Block, Component, system_availability
-from .interaction import InteractionDiagram
+from .interaction import InteractionDiagram, expected_product
 
 __all__ = ["Resource", "Service", "Function"]
 
@@ -138,6 +139,9 @@ class Function:
         listed services (a pure series composition) — the paper's Home,
         Search, Book and Pay functions.
 
+    The diagram is validated and walked once, here; later changes to it
+    are not seen.
+
     Examples
     --------
     >>> f = Function("search", services=["web", "application", "database"])
@@ -166,25 +170,29 @@ class Function:
         self.name = name
         self.diagram = diagram
         self._services = services
-        if diagram is not None:
-            diagram.validate()
+        if diagram is None:
+            self._names = frozenset(services)
+            self._usage = {self._names: 1.0}
+        else:
+            self._names = diagram.all_services()
+            self._usage = diagram.service_usage_distribution()
 
     def service_names(self) -> FrozenSet[str]:
         """Every service the function may touch."""
-        if self.diagram is not None:
-            return self.diagram.all_services()
-        return frozenset(self._services)
+        return self._names
 
     def service_usage_distribution(self) -> Dict[FrozenSet[str], float]:
-        """Distribution of the service set one invocation touches."""
-        if self.diagram is not None:
-            return self.diagram.service_usage_distribution()
-        return {frozenset(self._services): 1.0}
+        """Distribution of the service set one invocation touches (a copy)."""
+        return dict(self._usage)
 
     def availability(self, service_availability: Mapping[str, float]) -> float:
         """Function availability from service availabilities."""
         if self.diagram is not None:
-            return self.diagram.availability(service_availability)
+            return expected_product(
+                self._usage, service_availability, self.diagram.name
+            )
+        # In the given order, not sorted: sorting would change the last
+        # bits of every services-list figure.
         product = 1.0
         for service in self._services:
             try:

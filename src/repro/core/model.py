@@ -18,7 +18,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional,
 
 from ..errors import ModelStructureError, ValidationError
 from ..profiles import Scenario, UserClass
-from .interaction import InteractionDiagram
+from .interaction import InteractionDiagram, expected_product
 from .levels import AvailabilitySource, Function, Resource, Service
 
 __all__ = ["HierarchicalModel", "ScenarioAvailability", "UserLevelResult"]
@@ -154,7 +154,10 @@ class HierarchicalModel:
         diagram: Optional[InteractionDiagram] = None,
         services: Iterable[str] = (),
     ) -> Function:
-        """Register a function built on existing services."""
+        """Register a function built on existing services.
+
+        The *diagram* is read once, here; later changes to it are not seen.
+        """
         if name in self._functions:
             raise ValidationError(f"function {name!r} already defined")
         function = Function(name, diagram=diagram, services=services)
@@ -285,32 +288,21 @@ class HierarchicalModel:
     # ------------------------------------------------------------------
     # User level
     # ------------------------------------------------------------------
-    def scenario_availability(
-        self,
-        functions: Iterable[str],
-        service_availability: Optional[Mapping[str, float]] = None,
-    ) -> float:
-        """Availability of a user scenario invoking the given functions.
+    def scenario_service_usage(
+        self, functions: Iterable[str]
+    ) -> Dict[FrozenSet[str], float]:
+        """Distribution of the union of services a session touches.
 
-        Each function's invocation may touch a random subset of services
-        (its interaction-diagram scenarios); the session succeeds when
-        every service in the *union* of touched sets (plus the common
-        services) is available.  Shared services are therefore counted
-        once — the dependency treatment of Section 4.3.
+        Each of *functions* touches a random service set (its
+        interaction-diagram scenarios); the session needs their union
+        plus the common services.
         """
-        # Sorted here and in the product below: frozenset order varies
-        # with PYTHONHASHSEED, and float products and sums depend on order.
+        # Sorted: frozenset order varies with PYTHONHASHSEED, and float
+        # products and sums depend on order.
         function_names = sorted(functions)
         for name in function_names:
             if name not in self._functions:
                 raise ValidationError(f"unknown function {name!r}")
-        services = (
-            dict(service_availability)
-            if service_availability is not None
-            else self.service_availabilities()
-        )
-
-        # Distribution over the union of service sets across functions.
         union_dist: Dict[FrozenSet[str], float] = {
             frozenset(self._common_services): 1.0
         }
@@ -322,23 +314,41 @@ class HierarchicalModel:
                     key = current | touched
                     combined[key] = combined.get(key, 0.0) + p_current * p_touched
             union_dist = combined
+        return union_dist
 
-        total = 0.0
-        for service_set, prob in union_dist.items():
-            product = prob
-            for service in sorted(service_set):
-                product *= services[service]
-            total += product
-        return total
+    def scenario_availability(
+        self,
+        functions: Iterable[str],
+        service_availability: Optional[Mapping[str, float]] = None,
+    ) -> float:
+        """Availability of a user scenario invoking the given functions.
 
-    def user_availability(self, user_class: UserClass) -> UserLevelResult:
-        """User-perceived availability for a user class (paper eq. 10)."""
-        services = self.service_availabilities()
+        The session succeeds when every service of its union set
+        (:meth:`scenario_service_usage`) is available, so shared services
+        are counted once — the dependency treatment of Section 4.3.
+        """
+        usage = self.scenario_service_usage(functions)
+        if service_availability is None:
+            service_availability = self.service_availabilities()
+        return expected_product(usage, service_availability, "scenario")
+
+    def user_availability(
+        self,
+        user_class: UserClass,
+        service_availability: Optional[Mapping[str, float]] = None,
+    ) -> UserLevelResult:
+        """User-perceived availability for a user class (paper eq. 10).
+
+        *service_availability* replaces the model's own service
+        availabilities, as in :meth:`scenario_availability`.
+        """
+        if service_availability is None:
+            service_availability = self.service_availabilities()
         per_scenario: List[ScenarioAvailability] = []
         total = 0.0
         for scenario in user_class.scenarios:
             availability = self.scenario_availability(
-                scenario.functions, service_availability=services
+                scenario.functions, service_availability
             )
             per_scenario.append(
                 ScenarioAvailability(scenario=scenario, availability=availability)
@@ -365,18 +375,7 @@ class HierarchicalModel:
         for name in self._services:
             up = dict(base_services, **{name: 1.0})
             down = dict(base_services, **{name: 0.0})
-            a_up = self._user_availability_with(user_class, up)
-            a_down = self._user_availability_with(user_class, down)
+            a_up = self.user_availability(user_class, up).availability
+            a_down = self.user_availability(user_class, down).availability
             importance[name] = a_up - a_down
         return importance
-
-    def _user_availability_with(
-        self, user_class: UserClass, services: Mapping[str, float]
-    ) -> float:
-        return sum(
-            scenario.probability
-            * self.scenario_availability(
-                scenario.functions, service_availability=services
-            )
-            for scenario in user_class.scenarios
-        )

@@ -82,7 +82,7 @@ from concurrent.futures import (
     wait,
 )
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from operator import is_
 from pathlib import Path
@@ -106,8 +106,8 @@ from ..errors import EngineError, ResumeError
 from ..obs.clock import monotonic, walltime
 from ..obs.context import active_metrics, active_perf, active_tracer
 from ..runtime.budget import CancellationToken
-from ..runtime.heartbeat import HeartbeatCallback, ProgressEvent
-from ..runtime.journal import Journal, read_journal, record_index
+from ..runtime.heartbeat import HeartbeatCallback, beat
+from ..runtime.journal import Journal, JournalLike, read_journal, record_index
 from .cache import CacheStats, MemoCache
 from .retry import TaskRetryPolicy
 
@@ -118,9 +118,6 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from ..obs.tracing import Tracer
 
 __all__ = ["EvaluationEngine", "BatchResult", "shutdown_pool"]
-
-JournalLike = Union[Journal, str, Path]
-
 
 def _bindings() -> Tuple[Any, ...]:
     """What a forked worker inherits that a later pass may have changed.
@@ -222,20 +219,15 @@ def shutdown_pool() -> None:
         held.shutdown()
 
 
+#: The :class:`CacheStats` counters, in declaration order.
+_CACHE_FIELDS = tuple(f.name for f in fields(CacheStats))
+
+
 def _stats_delta(before: CacheStats, after: CacheStats) -> CacheStats:
-    return CacheStats(
-        lookups=after.lookups - before.lookups,
-        hits=after.hits - before.hits,
-        misses=after.misses - before.misses,
-        memory_hits=after.memory_hits - before.memory_hits,
-        disk_hits=after.disk_hits - before.disk_hits,
-        stores=after.stores - before.stores,
-        evictions=after.evictions - before.evictions,
-        corruptions=after.corruptions - before.corruptions,
-        disk_write_failures=(
-            after.disk_write_failures - before.disk_write_failures
-        ),
-    )
+    return CacheStats(**{
+        name: getattr(after, name) - getattr(before, name)
+        for name in _CACHE_FIELDS
+    })
 
 
 class _RunCounters:
@@ -518,12 +510,6 @@ class EvaluationEngine:
         if self.cancellation is not None:
             self.cancellation.check_now()
 
-    def _beat(self, phase: str, completed: int, total: int, message: str = ""):
-        if self.heartbeat is not None:
-            self.heartbeat(ProgressEvent(
-                phase=phase, completed=completed, total=total, message=message
-            ))
-
     @staticmethod
     def _require_picklable(fn: Callable) -> None:
         try:
@@ -662,10 +648,7 @@ class EvaluationEngine:
             help="Tasks satisfied by the memo cache before dispatch.",
             phase=phase,
         ).inc(total - executed - restored)
-        for field in (
-            "lookups", "hits", "misses", "memory_hits", "disk_hits",
-            "stores", "evictions", "corruptions", "disk_write_failures",
-        ):
+        for field in _CACHE_FIELDS:
             m.counter(
                 f"engine_cache_{field}",
                 help=f"Memo-cache {field.replace('_', ' ')} across engine runs.",
@@ -785,8 +768,8 @@ class EvaluationEngine:
                         continue
                 pending.append(index)
             done = total - len(pending)
-            self._beat(
-                phase, done, total,
+            beat(
+                self.heartbeat, phase, done, total,
                 f"{len(restored)} restored, {done - len(restored)} cached",
             )
 
@@ -813,7 +796,7 @@ class EvaluationEngine:
                         bperf.add_serialization(monotonic() - append_started)
                 if on_result is not None:
                     on_result(index, value)
-                self._beat(phase, done, total)
+                beat(self.heartbeat, phase, done, total)
 
             # Attribution counts the slots that actually ran: one for the
             # in-process loop, the pool's size otherwise.

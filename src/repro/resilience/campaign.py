@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,9 +57,10 @@ from ..errors import ResumeError, ValidationError
 from ..obs.context import active_metrics
 from ..profiles import UserClass
 from ..runtime.budget import CancellationToken
-from ..runtime.heartbeat import HeartbeatCallback, ProgressEvent
+from ..runtime.heartbeat import HeartbeatCallback, beat
 from ..runtime.journal import (
     Journal,
+    JournalLike,
     read_journal,
     record_field,
     record_index,
@@ -72,15 +73,15 @@ from ..sim.endtoend import (
 )
 from .faults import FaultScenario, NullScenario
 
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from ..obs.metrics import MetricsRegistry
+
 __all__ = [
     "CampaignResult",
     "run_campaign",
     "run_campaigns",
     "resume_campaign",
 ]
-
-JournalLike = Union[Journal, str, "Path"]
-
 
 @dataclass(frozen=True)
 class CampaignResult:
@@ -225,19 +226,6 @@ class _ShiftedObserver:
         self._observer.fault(time + self._offset, event)
 
 
-def _beat(
-    heartbeat: Optional[HeartbeatCallback],
-    phase: str,
-    completed: int,
-    total: int,
-    message: str = "",
-) -> None:
-    if heartbeat is not None:
-        heartbeat(ProgressEvent(
-            phase=phase, completed=completed, total=total, message=message
-        ))
-
-
 def _run_replications(
     model: HierarchicalModel,
     user_class: UserClass,
@@ -255,6 +243,7 @@ def _run_replications(
     heartbeat: Optional[HeartbeatCallback] = None,
     observer=None,
     ended: bool = False,
+    metrics: Optional["MetricsRegistry"] = None,
 ) -> CampaignResult:
     """Run the replications *completed* lacks; the one dispatch site.
 
@@ -283,7 +272,8 @@ def _run_replications(
         # The engine runs these in-process, so the replication itself
         # can poll the token and stream to the observer.
         work = partial(work, cancellation=cancellation, observer=observer)
-    metrics = active_metrics()
+    if metrics is None:
+        metrics = active_metrics()
     if metrics is not None and completed:
         metrics.counter(
             "campaign_replications_restored",
@@ -317,14 +307,14 @@ def _run_replications(
             journal.append("replication", index=todo[position][0], **{
                 name: getattr(result, name) for name in _REPLICATION_FIELDS
             })
-        _beat(
+        beat(
             heartbeat, phase, done, replications,
             f"A={result.average_user_availability:.6f}",
         )
 
-    batch = EvaluationEngine(workers=workers, cancellation=cancellation).map(
-        work, todo, phase=phase, on_result=on_result
-    )
+    batch = EvaluationEngine(
+        workers=workers, cancellation=cancellation, metrics=metrics
+    ).map(work, todo, phase=phase, on_result=on_result)
     results = dict(completed)
     results.update(zip((index for index, _ in todo), batch.outputs))
     campaign = CampaignResult(
@@ -357,6 +347,7 @@ def run_campaign(
     journal_meta: Optional[dict] = None,
     workers: int = 1,
     observer=None,
+    metrics: Optional["MetricsRegistry"] = None,
 ) -> CampaignResult:
     """Run one fault-injection campaign.
 
@@ -415,6 +406,9 @@ def run_campaign(
         timeline.  Streaming requires an ordered timeline, so it is
         serial-only: combining ``observer`` with ``workers > 1`` raises
         :class:`~repro.errors.ValidationError`.
+    metrics:
+        Registry for the ``campaign_*`` and ``engine_*`` series; by
+        default the ambient one (:func:`repro.obs.active_metrics`).
 
     Examples
     --------
@@ -468,12 +462,12 @@ def run_campaign(
                 analytic_availability=analytic,
                 meta=journal_meta or {},
             )
-        _beat(heartbeat, phase, 0, replications, "starting")
+        beat(heartbeat, phase, 0, replications, "starting")
         return _run_replications(
             model, user_class, scenario, horizon, replications, seed,
             default_repair_rate, analytic, {}, phase, journal,
             workers=workers, cancellation=cancellation, heartbeat=heartbeat,
-            observer=observer,
+            observer=observer, metrics=metrics,
         )
     finally:
         if owns_journal:
@@ -575,7 +569,7 @@ def resume_campaign(
         })
 
     phase = f"resume {user_class.name}/{scenario.name}"
-    _beat(
+    beat(
         heartbeat, phase, len(completed), replications,
         f"{len(completed)} replication(s) restored from journal",
     )
@@ -605,6 +599,7 @@ def run_campaigns(
     cancellation: Optional[CancellationToken] = None,
     heartbeat: Optional[HeartbeatCallback] = None,
     workers: int = 1,
+    metrics: Optional["MetricsRegistry"] = None,
 ) -> List[CampaignResult]:
     """The full campaign grid: every user class under every scenario.
 
@@ -612,7 +607,8 @@ def run_campaigns(
     the grid remains reproducible from the single *seed*.  The
     cancellation token and heartbeat are shared across cells (one
     deadline bounds the whole grid); *workers* parallelizes the
-    replications within each cell.  Each cell is its own
+    replications within each cell; *metrics* is as in
+    :func:`run_campaign`.  Each cell is its own
     :func:`run_campaign`; all of them borrow the worker pool their
     thread holds (see :mod:`repro.engine.executor`), so a grid, and
     every grid after it on the same thread, pays pool start-up once.
@@ -636,6 +632,7 @@ def run_campaigns(
                     cancellation=cancellation,
                     heartbeat=heartbeat,
                     workers=workers,
+                    metrics=metrics,
                 )
             )
     return results

@@ -65,6 +65,20 @@ class ProgressEvent:
 HeartbeatCallback = Callable[[ProgressEvent], None]
 
 
+def beat(
+    heartbeat: Optional[HeartbeatCallback],
+    phase: str,
+    completed: int,
+    total: int,
+    message: str = "",
+) -> None:
+    """Send *heartbeat*, if any, one :class:`ProgressEvent`."""
+    if heartbeat is not None:
+        heartbeat(ProgressEvent(
+            phase=phase, completed=completed, total=total, message=message
+        ))
+
+
 class ConsoleHeartbeat:
     """Prints progress events, throttled to one line per *min_interval*.
 

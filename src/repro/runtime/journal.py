@@ -31,8 +31,8 @@ from ..errors import ResumeError, ValidationError
 from ..obs.context import active_metrics
 
 __all__ = [
-    "SCHEMA_VERSION", "Journal", "read_journal", "record_field",
-    "record_index",
+    "SCHEMA_VERSION", "Journal", "JournalLike", "read_journal",
+    "record_field", "record_index",
 ]
 
 #: Version written into every record; bumped on incompatible layout changes.
@@ -151,6 +151,10 @@ class Journal:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Journal({str(self._path)!r}, records={self._seq})"
+
+
+#: A journal, or the path of one to open.
+JournalLike = Union[Journal, str, Path]
 
 
 def _durable_prefix(raw: bytes) -> int:

@@ -123,7 +123,9 @@ def execute_job(
     except KeyError:
         raise ValidationError(f"unknown job kind {kind!r}") from None
     if not workload.takes_engine:
-        return workload.document(spec, workload.run(spec, token, progress))
+        return workload.document(
+            spec, workload.run(spec, token, progress, metrics=metrics)
+        )
     from ..engine import EvaluationEngine
 
     recorder = _job_recorder(spec)

@@ -241,18 +241,9 @@ def compile_simulation(
     # currently-up services: a required-service mask test.
     service_bit = {service: 1 << k for k, service in enumerate(model.services)}
     weighted_sets = []
-    common = frozenset(model.common_services)
     for scenario in user_class.scenarios:
-        union_dist: Dict[frozenset, float] = {common: 1.0}
-        for function in sorted(scenario.functions):
-            usage = model.function_service_usage(function)
-            combined: Dict[frozenset, float] = {}
-            for current, p_current in union_dist.items():
-                for touched, p_touched in usage.items():
-                    key = current | touched
-                    combined[key] = combined.get(key, 0.0) + p_current * p_touched
-            union_dist = combined
-        for service_set, probability in union_dist.items():
+        usage = model.scenario_service_usage(scenario.functions)
+        for service_set, probability in usage.items():
             required = sum(service_bit[service] for service in service_set)
             weighted_sets.append(
                 (scenario.probability * probability, service_set, required)

@@ -206,13 +206,7 @@ class TravelAgencyModel:
         services["web"] = web.transient_availability(
             time, initial_servers=initial_servers
         )
-        return sum(
-            scenario.probability
-            * self._model.scenario_availability(
-                scenario.functions, service_availability=services
-            )
-            for scenario in user_class.scenarios
-        )
+        return self._model.user_availability(user_class, services).availability
 
     def service_importance(self, user_class: UserClass) -> Dict[str, float]:
         """First-order influence of each service on user availability."""

@@ -173,11 +173,11 @@ class Workload(NamedTuple):
     server job, which should come back in seconds.
 
     ``run(values, engine)`` — or ``run(values, cancellation,
-    heartbeat)`` for a workload that builds its own engines — evaluates
-    a mapping of checked values; ``document(values, output)`` turns the
-    output into the server's JSON result, whose ``text`` is exactly what
-    the CLI prints.  ``check(values)``, when given, enforces the
-    cross-field rules a single param cannot.
+    heartbeat, metrics=None)`` for a workload that builds its own
+    engines — evaluates a mapping of checked values; ``document(values,
+    output)`` turns the output into the server's JSON result, whose
+    ``text`` is exactly what the CLI prints.  ``check(values)``, when
+    given, enforces the cross-field rules a single param cannot.
     """
 
     kind: str
@@ -458,8 +458,13 @@ def run_fault_campaigns(
     workers: int = WORKERS.default,
     cancellation=None,
     heartbeat=None,
+    metrics=None,
 ):
-    """The ``repro inject`` campaign grid for one named scenario."""
+    """The ``repro inject`` campaign grid for one named scenario.
+
+    *metrics* receives the campaign and engine series; by default the
+    ambient registry does.
+    """
     from .resilience import run_campaigns
 
     model, built = fault_campaign_setup(scenario, architecture)
@@ -473,6 +478,7 @@ def run_fault_campaigns(
         workers=workers,
         cancellation=cancellation,
         heartbeat=heartbeat,
+        metrics=metrics,
     )
 
 
@@ -772,12 +778,13 @@ def _cloud_document(values, report) -> dict:
     }
 
 
-def _run_campaigns(values, cancellation=None, heartbeat=None):
+def _run_campaigns(values, cancellation=None, heartbeat=None, metrics=None):
     # The campaign params are run_fault_campaigns's keyword names.
     return run_fault_campaigns(
         **{p.name: values[p.name] for p in CAMPAIGN.params},
         cancellation=cancellation,
         heartbeat=heartbeat,
+        metrics=metrics,
     )
 
 

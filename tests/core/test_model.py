@@ -156,6 +156,56 @@ class TestUserLevel:
             0.3 * 0.9 + 0.7 * 0.72
         )
 
+    def test_mutating_a_usage_copy_leaves_the_model_alone(self, model, users):
+        d = InteractionDiagram("browse")
+        d.add_node("hit", services=["web"])
+        d.add_edge("Begin", "hit")
+        d.add_edge("hit", "End")
+        model.add_function("browse", diagram=d)
+        users = UserClass.from_probabilities(
+            "mixed", {frozenset({"home", "browse"}): 0.5,
+                      frozenset({"search"}): 0.5},
+        )
+        before = model.user_availability(users).availability
+        for name in ("home", "search", "browse"):
+            usage = model.function_service_usage(name)
+            usage.clear()
+            usage[frozenset({"database"})] = 1.0
+        assert model.user_availability(users).availability == before
+
+    def test_diagram_is_read_when_its_function_is_added(self):
+        m = HierarchicalModel()
+        m.add_resource("w", 0.9)
+        m.add_service("web", "w")
+        d = InteractionDiagram("browse")
+        d.add_node("hit", services=["web"])
+        d.add_edge("Begin", "hit")
+        d.add_edge("hit", "End")
+        m.add_function("browse", diagram=d)
+        d.add_node("late", services=["web"])  # invalid now: a dead end
+        assert m.scenario_availability(["browse"]) == 0.9
+        assert m.function_service_usage("browse") == {frozenset({"web"}): 1.0}
+
+    def test_user_availability_under_given_service_availabilities(
+        self, model, users
+    ):
+        services = dict(model.service_availabilities(), web=0.5)
+        result = model.user_availability(users, services)
+        assert result.availability == sum(
+            scenario.probability
+            * model.scenario_availability(scenario.functions, services)
+            for scenario in users.scenarios
+        )
+        assert result.availability < model.user_availability(
+            users
+        ).availability
+
+    def test_missing_service_availability_is_a_validation_error(self, model):
+        with pytest.raises(ValidationError, match="'database'"):
+            model.scenario_availability(
+                ["search"], {"net": 1.0, "web": 1.0}
+            )
+
     def test_service_importance_ranks_common_first(self, model, users):
         importance = model.service_importance(users)
         assert importance["net"] >= importance["database"]

@@ -27,11 +27,13 @@ from repro.errors import CancelledError
 from repro.resilience import (
     NullScenario,
     RecurrentOutage,
+    campaign,
     run_campaign,
     run_campaigns,
 )
 from repro.runtime import CancellationToken
 from repro.server import ServerClient, ServerThread
+from repro.sim import endtoend
 from repro.sim.endtoend import compile_simulation
 from repro.ta import CLASS_A, CLASS_B, TravelAgencyModel
 
@@ -345,36 +347,45 @@ class TestNoWorkerOutlives:
 
 class TestCompileOnce:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_interaction_diagrams_validated_once_per_cell(
+    def test_one_compile_per_cell_and_no_diagram_walk_per_query(
         self, workers, monkeypatch
     ):
         # A cell compiles its model once, in the parent; neither the
-        # serial loop nor a pool worker compiles per replication.  The
-        # counter lives in shared memory so the forked workers' calls
+        # serial loop nor a pool worker compiles per replication.  A
+        # diagram is validated once, when its function is added, and no
+        # query (compile or eq.-(10) reference) validates it again.  The
+        # counters live in shared memory so the forked workers' calls
         # count too.
-        calls = multiprocessing.get_context("fork").Value("i", 0)
-        validate = InteractionDiagram.validate
+        context = multiprocessing.get_context("fork")
+        validations = context.Value("i", 0)
+        compiles = context.Value("i", 0)
 
-        def counted(self, *args, **kwargs):
-            with calls.get_lock():
-                calls.value += 1
-            return validate(self, *args, **kwargs)
+        def counting(counter, fn):
+            def counted(*args, **kwargs):
+                with counter.get_lock():
+                    counter.value += 1
+                return fn(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(InteractionDiagram, "validate", counted)
+        monkeypatch.setattr(InteractionDiagram, "validate", counting(
+            validations, InteractionDiagram.validate
+        ))
+        for module in (endtoend, campaign):
+            monkeypatch.setattr(module, "compile_simulation", counting(
+                compiles, compile_simulation
+            ))
 
         def count(fn, *args):
-            calls.value = 0
+            validations.value = 0
             fn(*args)
-            return calls.value
+            return validations.value
 
-        setup = count(workloads.fault_campaign_setup, "null", "basic")
+        # One validation per diagram (Figs. 3-6), at model build.
+        assert count(workloads.fault_campaign_setup, "null", "basic") == 4
         model, _ = workloads.fault_campaign_setup("null", "basic")
-        per_cell = 0
         for user_class in workloads.selected_classes("both"):
-            compiled = count(compile_simulation, model, user_class)
-            assert compiled == 26
-            analytic = count(model.user_availability, user_class)
-            per_cell += compiled + analytic
+            assert count(compile_simulation, model, user_class) == 0
+            assert count(model.user_availability, user_class) == 0
 
         total = count(
             lambda: workloads.run_fault_campaigns(
@@ -382,4 +393,5 @@ class TestCompileOnce:
                 horizon=1000.0, replications=4, seed=3, workers=workers,
             )
         )
-        assert total == setup + per_cell
+        assert total == 4
+        assert compiles.value == 2  # one per cell, both classes

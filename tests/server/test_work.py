@@ -180,6 +180,23 @@ class TestExecuteJob:
         assert len(result["campaigns"]) == 1
         assert result["campaigns"][0]["user_class"] == "class A"
 
+    def test_campaign_job_records_into_its_registry(self):
+        # A campaign builds its own engines; the job's registry must
+        # still reach them, as it reaches the engine workloads.
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        spec = parse_spec("campaign", {"replications": 2, "horizon": 50.0})
+        execute_job("campaign", spec, metrics=registry)
+        for user_class in ("class A", "class B"):
+            assert registry.value(
+                "campaign_replications", scenario="null",
+                user_class=user_class,
+            ) == 2
+            assert registry.value(
+                "engine_tasks", phase=f"campaign {user_class}/null"
+            ) == 2
+
     def test_cloud_result_document(self):
         spec = parse_spec("cloud", {})
         result = execute_job("cloud", spec)
