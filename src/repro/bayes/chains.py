@@ -29,7 +29,7 @@ from .._validation import (
     check_positive_int,
     check_probability,
 )
-from ..core.model import ScenarioAvailability, UserLevelResult
+from ..core.model import UserLevelResult
 from ..errors import ValidationError
 from ..ta.userclasses import BOOK, BROWSE, HOME, PAY, SEARCH
 from .cloud import CloudModelBuilder
@@ -86,9 +86,8 @@ def chain_user_availability(
     common-cause correlation intact — then weighted by the scenario's
     activation probability.
     """
-    per_scenario = []
-    total = 0.0
-    for scenario in user_class.scenarios:
+
+    def availability(scenario) -> float:
         services = set()
         for function in sorted(scenario.functions):
             if function not in chains:
@@ -97,14 +96,9 @@ def chain_user_availability(
                     f"cover {sorted(chains)}"
                 )
             services.update(chains[function].services)
-        availability = network.probability_all_up(tuple(sorted(services)))
-        per_scenario.append(ScenarioAvailability(scenario, availability))
-        total += scenario.probability * availability
-    return UserLevelResult(
-        user_class=user_class.name,
-        availability=total,
-        per_scenario=tuple(per_scenario),
-    )
+        return network.probability_all_up(tuple(sorted(services)))
+
+    return UserLevelResult.class_sum(user_class, availability)
 
 
 @dataclass(frozen=True)

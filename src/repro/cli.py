@@ -402,15 +402,8 @@ def _cmd_resume(args) -> int:
     from .runtime import read_journal
 
     cancellation, heartbeat = _runtime_context(args)
-    records = read_journal(args.journal)
-    start = next(
-        (r for r in records if r.get("kind") == "campaign_start"), None
-    )
-    if start is None:
-        raise ResumeError(
-            f"journal {args.journal!r} holds no campaign_start record; "
-            "was the run interrupted before its first durable write?"
-        )
+    # resume_campaign checks that this is a campaign's batch_start.
+    start = (read_journal(args.journal) or [{}])[0]
     meta = start.get("meta")
     if not isinstance(meta, dict) or meta.get("cli") != "inject":
         raise ResumeError(
@@ -422,7 +415,7 @@ def _cmd_resume(args) -> int:
     ):
         if meta.get(param.name) not in param.choices:
             raise ResumeError(
-                f"journal {args.journal!r} campaign_start meta field "
+                f"journal {args.journal!r} batch_start meta field "
                 f"{param.name!r} must be one of {list(param.choices)}, got "
                 f"{meta.get(param.name)!r}"
             )

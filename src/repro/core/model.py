@@ -14,7 +14,7 @@ needs but that must only be counted once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from ..errors import ModelStructureError, ValidationError
 from ..profiles import Scenario, UserClass
@@ -65,6 +65,25 @@ class UserLevelResult:
     user_class: str
     availability: float
     per_scenario: Tuple[ScenarioAvailability, ...]
+
+    @classmethod
+    def class_sum(
+        cls, user_class: UserClass, availability: Callable[[Scenario], float]
+    ) -> "UserLevelResult":
+        """Eq. (10): ``sum_i pi_i A(scenario_i)`` over *user_class*.
+
+        *availability* gives each scenario's ``A``; the terms are added
+        in scenario order, so every model that sums through here agrees
+        to the bit.
+        """
+        per_scenario = tuple(
+            ScenarioAvailability(scenario, availability(scenario))
+            for scenario in user_class.scenarios
+        )
+        total = 0.0
+        for item in per_scenario:
+            total += item.scenario.probability * item.availability
+        return cls(user_class.name, total, per_scenario)
 
     @property
     def unavailability(self) -> float:
@@ -344,20 +363,11 @@ class HierarchicalModel:
         """
         if service_availability is None:
             service_availability = self.service_availabilities()
-        per_scenario: List[ScenarioAvailability] = []
-        total = 0.0
-        for scenario in user_class.scenarios:
-            availability = self.scenario_availability(
+        return UserLevelResult.class_sum(
+            user_class,
+            lambda scenario: self.scenario_availability(
                 scenario.functions, service_availability
-            )
-            per_scenario.append(
-                ScenarioAvailability(scenario=scenario, availability=availability)
-            )
-            total += scenario.probability * availability
-        return UserLevelResult(
-            user_class=user_class.name,
-            availability=total,
-            per_scenario=tuple(per_scenario),
+            ),
         )
 
     def service_importance(self, user_class: UserClass) -> Dict[str, float]:

@@ -45,8 +45,10 @@ ones are dropped, and already-journaled results survive.
 
 **Resume.**  With a journal attached, every completed task is durably
 recorded (key + JSON value); re-running the same batch over the same
-journal restores completed tasks and computes only the rest — the same
-contract campaigns have, for arbitrary parallel batches.
+journal restores completed tasks and computes only the rest.  Sweeps
+and campaign cells resume this way; a campaign writes the opening
+``batch_start`` record itself, with its configuration beside the
+``phase`` and ``total`` the engine checks.
 
 **Fault tolerance.**  The process-pool backend is *supervised*: a
 worker that dies mid-task (OOM kill, segfault, chaos injection) breaks
@@ -690,12 +692,15 @@ class EvaluationEngine:
         journal:
             Optional journal (or path).  Completed tasks are appended as
             JSON records; a journal that already holds records for this
-            phase/size resumes — restored tasks are not recomputed.
+            phase/size resumes — restored tasks are not recomputed.  Its
+            first record is the ``batch_start``, written here when the
+            journal is empty; a caller may write it first with extra
+            fields, of which only ``phase`` and ``total`` are read.
         on_result:
             Callback ``on_result(index, value)`` invoked once per task
             computed *this run* (not for cache/journal restores), in
-            completion order.  Campaigns use it to journal their own
-            richer records.
+            completion order.  Campaigns use it to count replications
+            in their metrics.
 
         Raises
         ------

@@ -21,24 +21,25 @@ Two uses:
 
 Fault tolerance
 ---------------
-Campaigns are the longest-running code path in the library, so the
-runner is built on :mod:`repro.runtime`:
+Campaigns are the longest-running code path in the library, so each
+campaign cell is one :meth:`~repro.engine.EvaluationEngine.map` batch,
+and the engine's :mod:`repro.runtime` support applies to it:
 
 * a :class:`~repro.runtime.CancellationToken` is polled between *and
   inside* replications, so deadlines and interactive cancellation take
   effect at a clean boundary;
-* with a :class:`~repro.runtime.Journal` attached, the campaign
-  configuration and every completed replication are durably recorded
-  (fsync per record), and :func:`resume_campaign` reconstructs the
-  completed work and re-runs only the missing replications.
+* with a :class:`~repro.runtime.Journal` attached, the campaign opens it
+  with a ``batch_start`` header carrying its configuration, the engine
+  durably records every completed replication as a ``task_result``
+  (fsync per record), and :func:`resume_campaign` lets the engine
+  restore the completed work and re-run only the missing replications.
 
 Because replication ``i`` always draws from stream ``i`` of
 ``SeedSequence(seed).spawn(replications)`` — never from a shared
 generator — a resumed campaign is **bit-identical** to an uninterrupted
 run with the same seed, no matter where the interruption fell.  Fresh
-and resumed campaigns run the replications they lack through the same
-single :meth:`~repro.engine.EvaluationEngine.map` call, at any worker
-count.
+and resumed campaigns run through the same single
+:meth:`~repro.engine.EvaluationEngine.map` call, at any worker count.
 """
 
 from __future__ import annotations
@@ -57,14 +58,8 @@ from ..errors import ResumeError, ValidationError
 from ..obs.context import active_metrics
 from ..profiles import UserClass
 from ..runtime.budget import CancellationToken
-from ..runtime.heartbeat import HeartbeatCallback, beat
-from ..runtime.journal import (
-    Journal,
-    JournalLike,
-    read_journal,
-    record_field,
-    record_index,
-)
+from ..runtime.heartbeat import HeartbeatCallback
+from ..runtime.journal import Journal, JournalLike, read_journal, record_field
 from ..sim.endtoend import (
     CompiledSimulation,
     EndToEndResult,
@@ -155,8 +150,8 @@ class CampaignResult:
         )
 
 
-#: Journal-record fields of one replication and their types, in
-#: EndToEndResult order.
+#: The fields of one replication's value, the ``task_result`` value the
+#: engine journals, and their types, in EndToEndResult order.
 _REPLICATION_FIELDS = {
     "horizon": float,
     "average_user_availability": float,
@@ -175,7 +170,7 @@ def _replication(
     item: Tuple[int, np.random.SeedSequence],
     cancellation: Optional[CancellationToken] = None,
     observer=None,
-) -> EndToEndResult:
+) -> Dict[str, float]:
     """Replication ``index`` of ``item = (index, stream)``, resume-stable.
 
     The engine work function (module-level, so a ``partial`` of it
@@ -185,14 +180,15 @@ def _replication(
     pass the *cancellation* token, polled per simulated transition, and
     the campaign *observer*, re-based onto replication ``index``'s slice
     of the timeline; pool workers get neither, so there cancellation has
-    replication granularity.
+    replication granularity.  Returns the result's
+    :data:`_REPLICATION_FIELDS`, the value the engine journals.
     """
     index, stream = item
     if observer is not None:
         observer = _ShiftedObserver(observer, index * horizon)
     rng = np.random.default_rng(stream)
     faults = scenario.compile(model, horizon, rng)
-    return simulate_user_availability_over_time(
+    result = simulate_user_availability_over_time(
         compiled,
         compiled.user_class,
         horizon=horizon,
@@ -202,6 +198,27 @@ def _replication(
         cancellation=cancellation,
         observer=observer,
     )
+    return {name: getattr(result, name) for name in _REPLICATION_FIELDS}
+
+
+def _replication_result(index: int, value, path) -> EndToEndResult:
+    """Replication *index*'s value as its result, checked field by field.
+
+    A bad field raises a one-line :class:`~repro.errors.ResumeError`
+    naming it and journal *path*.  JSON round-trips Python floats
+    exactly, so a restored result is bit-identical to the computed one.
+    """
+    if not isinstance(value, dict):
+        raise ResumeError(
+            f"journal {path} holds replication {index} as {value!r}, not "
+            f"an object of {list(_REPLICATION_FIELDS)}"
+        )
+    # record_field names the record it reads by its kind.
+    record = {**value, "kind": f"replication {index}"}
+    return EndToEndResult(**{
+        name: record_field(record, name, kind, path)
+        for name, kind in _REPLICATION_FIELDS.items()
+    })
 
 
 class _ShiftedObserver:
@@ -226,6 +243,11 @@ class _ShiftedObserver:
         self._observer.fault(time + self._offset, event)
 
 
+def _phase(user_class: UserClass, scenario: FaultScenario) -> str:
+    """The engine phase of one campaign cell, fresh or resumed."""
+    return f"campaign {user_class.name}/{scenario.name}"
+
+
 def _run_replications(
     model: HierarchicalModel,
     user_class: UserClass,
@@ -235,32 +257,23 @@ def _run_replications(
     seed: int,
     default_repair_rate: float,
     analytic: float,
-    completed: Dict[int, EndToEndResult],
-    phase: str,
     journal: Optional[Journal],
     workers: int = 1,
     cancellation: Optional[CancellationToken] = None,
     heartbeat: Optional[HeartbeatCallback] = None,
     observer=None,
-    ended: bool = False,
     metrics: Optional["MetricsRegistry"] = None,
 ) -> CampaignResult:
-    """Run the replications *completed* lacks; the one dispatch site.
+    """Map every replication as one engine batch; the one dispatch site.
 
-    Fresh runs pass no completed replications, resumed runs the ones
-    their journal holds.  Each replication computed here is counted,
-    journaled and reported in completion order; the result is assembled
-    by replication index, and ``campaign_end`` is journaled unless the
-    journal already holds one (*ended*).
+    The engine restores the replications *journal* already holds,
+    computes the rest, journals and reports each as it completes, and
+    ends the journal with ``batch_end``.  The result is assembled by
+    replication index.
     """
     from ..engine import EvaluationEngine
 
     streams = np.random.SeedSequence(seed).spawn(replications)
-    todo = [
-        (index, stream)
-        for index, stream in enumerate(streams)
-        if index not in completed
-    ]
     # One compile per cell, here in the parent: the serial loop and
     # every pool worker run the same compiled model.
     work = partial(
@@ -268,69 +281,50 @@ def _run_replications(
         compile_simulation(model, user_class, default_repair_rate),
         scenario, horizon,
     )
-    if workers == 1 or len(todo) <= 1:
-        # The engine runs these in-process, so the replication itself
-        # can poll the token and stream to the observer.
+    if workers == 1 or replications == 1:
+        # The engine runs these in-process (a resume is serial), so the
+        # replication itself can poll the token and stream to the
+        # observer.
         work = partial(work, cancellation=cancellation, observer=observer)
     if metrics is None:
         metrics = active_metrics()
-    if metrics is not None and completed:
+
+    def on_result(index: int, value: Dict[str, float]) -> None:
         metrics.counter(
-            "campaign_replications_restored",
-            help="Replications restored from resume journals.",
+            "campaign_replications",
+            help="Fault-injection replications completed.",
             scenario=scenario.name,
             user_class=user_class.name,
-        ).inc(len(completed))
-    done = len(completed)
-
-    def on_result(position: int, result: EndToEndResult) -> None:
-        nonlocal done
-        done += 1
-        if metrics is not None:
-            metrics.counter(
-                "campaign_replications",
-                help="Fault-injection replications completed.",
-                scenario=scenario.name,
-                user_class=user_class.name,
-            ).inc()
-            metrics.counter(
-                "campaign_fault_events",
-                help="Injected failure/repair events applied, by scenario.",
-                scenario=scenario.name,
-            ).inc(result.fault_events_applied)
-            metrics.counter(
-                "campaign_resource_transitions",
-                help="Resource up/down transitions simulated, by scenario.",
-                scenario=scenario.name,
-            ).inc(result.resource_transitions)
-        if journal is not None:
-            journal.append("replication", index=todo[position][0], **{
-                name: getattr(result, name) for name in _REPLICATION_FIELDS
-            })
-        beat(
-            heartbeat, phase, done, replications,
-            f"A={result.average_user_availability:.6f}",
-        )
+        ).inc()
+        metrics.counter(
+            "campaign_fault_events",
+            help="Injected failure/repair events applied, by scenario.",
+            scenario=scenario.name,
+        ).inc(value["fault_events_applied"])
+        metrics.counter(
+            "campaign_resource_transitions",
+            help="Resource up/down transitions simulated, by scenario.",
+            scenario=scenario.name,
+        ).inc(value["resource_transitions"])
 
     batch = EvaluationEngine(
-        workers=workers, cancellation=cancellation, metrics=metrics
-    ).map(work, todo, phase=phase, on_result=on_result)
-    results = dict(completed)
-    results.update(zip((index for index, _ in todo), batch.outputs))
-    campaign = CampaignResult(
+        workers=workers, cancellation=cancellation, heartbeat=heartbeat,
+        metrics=metrics,
+    ).map(
+        work, enumerate(streams), phase=_phase(user_class, scenario),
+        journal=journal, on_result=None if metrics is None else on_result,
+    )
+    path = None if journal is None else journal.path
+    return CampaignResult(
         user_class=user_class.name,
         scenario=scenario.name,
         analytic_availability=analytic,
-        replications=tuple(results[index] for index in range(replications)),
+        replications=tuple(
+            _replication_result(index, value, path)
+            for index, value in enumerate(batch.outputs)
+        ),
         seed=seed,
     )
-    if journal is not None and not ended:
-        journal.append(
-            "campaign_end",
-            mean_availability=campaign.mean_availability,
-            stderr=campaign.stderr,
-        )
-    return campaign
 
 
 def run_campaign(
@@ -382,11 +376,12 @@ def run_campaign(
         one).  The file must be empty/absent — resuming an existing
         journal goes through :func:`resume_campaign` instead.
     heartbeat:
-        Optional progress callback invoked after every replication.
+        Optional progress callback, given to the cell's engine: one
+        event when the batch starts and one per completed replication.
     journal_meta:
-        Free-form JSON-serializable dict stored in the
-        ``campaign_start`` record; the CLI stashes what it needs to
-        rebuild the model on ``repro resume``.
+        Free-form JSON-serializable dict stored as the ``meta`` field of
+        the journal's ``batch_start`` header; the CLI stashes what it
+        needs to rebuild the model on ``repro resume``.
     workers:
         Worker processes for the replications (default 1 = in-process).
         Because replication ``i`` always draws from its own spawned
@@ -448,11 +443,12 @@ def run_campaign(
         )
 
     analytic = model.user_availability(user_class).availability
-    phase = f"campaign {user_class.name}/{scenario.name}"
     try:
         if journal is not None:
             journal.append(
-                "campaign_start",
+                "batch_start",
+                phase=_phase(user_class, scenario),
+                total=replications,
                 user_class=user_class.name,
                 scenario=scenario.name,
                 horizon=horizon,
@@ -462,10 +458,9 @@ def run_campaign(
                 analytic_availability=analytic,
                 meta=journal_meta or {},
             )
-        beat(heartbeat, phase, 0, replications, "starting")
         return _run_replications(
             model, user_class, scenario, horizon, replications, seed,
-            default_repair_rate, analytic, {}, phase, journal,
+            default_repair_rate, analytic, journal,
             workers=workers, cancellation=cancellation, heartbeat=heartbeat,
             observer=observer, metrics=metrics,
         )
@@ -484,19 +479,21 @@ def resume_campaign(
 ) -> CampaignResult:
     """Resume an interrupted campaign from its journal.
 
-    Completed replications are reconstructed from the journal; only the
-    missing ones are simulated, each from the *same* spawned seed stream
-    it would have used originally.  The returned
+    The engine restores the completed replications from the journal;
+    only the missing ones are simulated, each from the *same* spawned
+    seed stream it would have used originally.  The returned
     :class:`CampaignResult` is therefore bit-identical to what the
-    uninterrupted run would have produced, and the journal ends up in
-    the same state as a never-interrupted journaled run.
+    uninterrupted run would have produced, and the journal ends up with
+    the same records as a never-interrupted journaled run (only
+    ``batch_end``'s count of replications the finishing run executed
+    differs).
 
     Parameters
     ----------
     journal:
         Journal (or path) written by :func:`run_campaign`; it will be
-        appended to.  A journal holding only a torn tail or nothing past
-        ``campaign_start`` resumes to a full fresh run.
+        appended to.  A journal holding nothing past its header resumes
+        to a full fresh run.
     model / user_class / scenario:
         Must denote the same campaign the journal was started with;
         names and the recomputed analytic availability are checked and a
@@ -508,20 +505,19 @@ def resume_campaign(
     Raises
     ------
     ResumeError
-        On a corrupt journal, a missing ``campaign_start`` record, or a
+        On a corrupt journal, a malformed header or replication, or a
         model/configuration mismatch.
     """
     if scenario is None:
         scenario = NullScenario()
-    owns_journal = not isinstance(journal, Journal)
     path = journal.path if isinstance(journal, Journal) else Path(journal)
     records = read_journal(path)
-    start = next(
-        (r for r in records if r.get("kind") == "campaign_start"), None
-    )
-    if start is None:
+    start = records[0] if records else {}
+    if start.get("kind") != "batch_start":
         raise ResumeError(
-            f"journal {path} has no campaign_start record; nothing to resume"
+            f"journal {path} opens with a {start.get('kind')!r} record, "
+            "not a campaign's batch_start header; journals of the older "
+            "campaign_start layout cannot be resumed"
         )
     for name, expected in (
         ("user_class", user_class.name), ("scenario", scenario.name)
@@ -540,10 +536,10 @@ def resume_campaign(
     )
     analytic = record_field(start, "analytic_availability", float, path)
     recomputed = model.user_availability(user_class).availability
-    # Tolerate last-ulp noise (float summation order can differ between
-    # processes under hash randomization) but catch real model drift.
-    # The journaled value is authoritative for the resumed result, which
-    # keeps it bit-identical to the uninterrupted run's.
+    # Eq. (10) sums in a fixed order, so the two agree to the bit; the
+    # tolerance only guards against real model drift.  The journaled
+    # value is authoritative for the resumed result, which keeps it
+    # bit-identical to the uninterrupted run's.
     if not math.isclose(recomputed, analytic, rel_tol=1e-9, abs_tol=1e-12):
         raise ResumeError(
             f"journal {path} was recorded against analytic availability "
@@ -551,37 +547,14 @@ def resume_campaign(
             "model or its parameters changed"
         )
 
-    completed: Dict[int, EndToEndResult] = {}
-    for record in records:
-        if record.get("kind") != "replication":
-            continue
-        index = record_index(record, replications, path)
-        if index in completed:
-            raise ResumeError(
-                f"journal {path} holds two replication records for "
-                f"index {index}"
-            )
-        # JSON round-trips Python floats exactly (repr shortest
-        # round-trip), so each result is bit-identical to the journaled.
-        completed[index] = EndToEndResult(**{
-            name: record_field(record, name, kind, path)
-            for name, kind in _REPLICATION_FIELDS.items()
-        })
-
-    phase = f"resume {user_class.name}/{scenario.name}"
-    beat(
-        heartbeat, phase, len(completed), replications,
-        f"{len(completed)} replication(s) restored from journal",
-    )
-
+    owns_journal = not isinstance(journal, Journal)
     if owns_journal:
         journal = Journal(path)
     try:
         return _run_replications(
             model, user_class, scenario, horizon, replications, seed,
-            default_repair_rate, analytic, completed, phase, journal,
+            default_repair_rate, analytic, journal,
             cancellation=cancellation, heartbeat=heartbeat,
-            ended=any(r.get("kind") == "campaign_end" for r in records),
         )
     finally:
         if owns_journal:

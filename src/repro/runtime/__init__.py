@@ -10,16 +10,16 @@ bounded, and resumable:
   the uniformization solver;
 * :mod:`~repro.runtime.journal` — crash-consistent JSONL journaling
   (atomic append + fsync, schema-versioned, torn-tail tolerant) used to
-  persist per-replication campaign results;
+  persist the task results of engine batches, campaign cells included;
 * :mod:`~repro.runtime.heartbeat` — the progress-callback protocol the
   CLI uses for liveness printing and tests use as a watchdog.
 
 Steady-state solver fallback is not a runtime concern: the one strategy
 chain is :func:`repro.markov.solvers.steady_state`.
 
-The campaign-specific resume logic lives with the campaign engine
-(:func:`repro.resilience.campaign.resume_campaign`) and builds entirely
-on this package.
+Resume is the batch engine's (:meth:`repro.engine.EvaluationEngine.map`);
+:func:`repro.resilience.campaign.resume_campaign` only checks a
+campaign journal's header before handing it to the engine.
 """
 
 from .budget import Budget, CancellationToken, Deadline

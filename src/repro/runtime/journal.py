@@ -11,8 +11,8 @@ trusted).
 
 Records are schema-versioned and sequence-numbered::
 
-    {"v": 1, "seq": 0, "kind": "campaign_start", ...}
-    {"v": 1, "seq": 1, "kind": "replication", "index": 0, ...}
+    {"v": 1, "seq": 0, "kind": "batch_start", ...}
+    {"v": 1, "seq": 1, "kind": "task_result", "index": 0, ...}
 
 ``v`` guards against readers from a different schema generation; ``seq``
 must increase by one per record, which catches truncation in the middle
@@ -59,10 +59,10 @@ class Journal:
     >>> import tempfile, os
     >>> path = os.path.join(tempfile.mkdtemp(), "run.jsonl")
     >>> with Journal(path) as journal:
-    ...     _ = journal.append("campaign_start", seed=7)
-    ...     _ = journal.append("replication", index=0, value=0.5)
+    ...     _ = journal.append("batch_start", phase="demo", total=1)
+    ...     _ = journal.append("task_result", index=0, value=0.5)
     >>> [record["kind"] for record in read_journal(path)]
-    ['campaign_start', 'replication']
+    ['batch_start', 'task_result']
     """
 
     def __init__(self, path: PathLike, fsync: bool = True):

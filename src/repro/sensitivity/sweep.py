@@ -12,11 +12,13 @@ parallel one is tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple
+from numbers import Real
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .._validation import check_non_negative
-from ..errors import ValidationError
+from ..errors import ResumeError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..engine import EvaluationEngine
@@ -151,6 +153,19 @@ class _GridCell:
         return float(self.fn(*pair))
 
 
+def _float_outputs(outputs: Tuple[Any, ...], journal) -> Tuple[float, ...]:
+    """*outputs* as floats; each a finite real if a *journal* restored it."""
+    if journal is not None:
+        for index, output in enumerate(outputs):
+            if (isinstance(output, bool) or not isinstance(output, Real)
+                    or not math.isfinite(output)):
+                raise ResumeError(
+                    f"journal {getattr(journal, 'path', journal)} task "
+                    f"{index} value {output!r} is not a finite real number"
+                )
+    return tuple(float(output) for output in outputs)
+
+
 def sweep(
     model: Callable[[float], float],
     parameter: str,
@@ -197,7 +212,7 @@ def sweep(
             model, values, keys=keys, phase=f"sweep {parameter}",
             journal=journal,
         )
-        outputs = tuple(float(output) for output in batch.outputs)
+        outputs = _float_outputs(batch.outputs, journal)
     return SweepResult(parameter=parameter, values=values, outputs=outputs)
 
 
@@ -249,12 +264,10 @@ def grid_sweep(
             phase=f"grid {row_parameter} x {column_parameter}",
             journal=journal,
         )
+        flat = _float_outputs(batch.outputs, journal)
         columns = len(column_values)
         outputs = tuple(
-            tuple(
-                float(output)
-                for output in batch.outputs[i * columns:(i + 1) * columns]
-            )
+            flat[i * columns:(i + 1) * columns]
             for i in range(len(row_values))
         )
     return GridSweepResult(

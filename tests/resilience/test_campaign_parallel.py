@@ -110,9 +110,9 @@ class TestWorkersParameter:
         result = _campaign(workers=2, journal=path)
         records = read_journal(path)
         kinds = [r["kind"] for r in records]
-        assert kinds[0] == "campaign_start"
-        assert kinds.count("replication") == len(result.replications)
-        assert kinds[-1] == "campaign_end"
+        assert kinds[0] == "batch_start"
+        assert kinds.count("task_result") == len(result.replications)
+        assert kinds[-1] == "batch_end"
 
 
 class TestSerialParallelParity:
@@ -162,7 +162,7 @@ class TestSerialParallelParity:
         assert resumed == uninterrupted
         indices = [
             r["index"] for r in read_journal(path)
-            if r["kind"] == "replication"
+            if r["kind"] == "task_result"
         ]
         assert sorted(indices) == list(range(6))
         assert indices[:len(done)] != sorted(indices[:len(done)])

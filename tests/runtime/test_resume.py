@@ -45,9 +45,9 @@ def _interrupted_then_resumed(model, path, kill_after, seed, scenario=None):
             journal=path, cancellation=token, heartbeat=assassin,
         )
     journaled = read_journal(path)
-    completed = [r for r in journaled if r["kind"] == "replication"]
+    completed = [r for r in journaled if r["kind"] == "task_result"]
     assert len(completed) == kill_after  # the kill landed where intended
-    assert not any(r["kind"] == "campaign_end" for r in journaled)
+    assert not any(r["kind"] == "batch_end" for r in journaled)
     return resume_campaign(path, model, CLASS_A, scenario=scenario)
 
 
@@ -95,9 +95,10 @@ class TestBitIdenticalResume:
         _interrupted_then_resumed(model, killed_path, 2, 3)
 
         def payload(records):
-            # Same records modulo the envelope (seq is identical anyway).
+            # Same records modulo the envelope (seq is identical anyway)
+            # and batch_end's count of tasks the finishing run executed.
             return [
-                {k: v for k, v in r.items() if k != "meta"}
+                {k: v for k, v in r.items() if k not in ("meta", "executed")}
                 for r in records
             ]
 
@@ -248,20 +249,28 @@ class TestMalformedJournal:
         (lambda s, r: [s, _set(r, index=True)], "index True"),
         (lambda s, r: [s, _set(r, index="0")], "index '0'"),
         (lambda s, r: [s, _set(r, index=REPLICATIONS)], "index 5"),
-        (lambda s, r: [s, r, r], "two replication records for index 0"),
+        (lambda s, r: [s, r, r], "two task_result records for index 0"),
         (lambda s, r: [_set(s, replications=True), r], "'replications'"),
         (lambda s, r: [_set(s, seed=-1), r], "'seed'"),
         (lambda s, r: [_drop(s, "horizon"), r], "'horizon'"),
         (lambda s, r: [_drop(s, "user_class"), r], "'user_class'"),
-        (lambda s, r: [s, _drop(r, "fraction_total_outage")],
+        (lambda s, r: [s, _set(r, value=_drop(
+            r["value"], "fraction_total_outage"))],
          "'fraction_total_outage'"),
-        (lambda s, r: [s, _set(r, resource_transitions="12")],
+        (lambda s, r: [s, _set(r, value=_set(
+            r["value"], resource_transitions="12"))],
          "'resource_transitions'"),
+        (lambda s, r: [s, _set(r, value=[1])], "replication 0 as [1]"),
+        (lambda s, r: [s, _drop(r, "value")], "task 0 record has no value"),
+        (lambda s, r: [_set(s, kind="campaign_start"), r],
+         "'campaign_start'"),
+        (lambda s, r: [_set(s, total=REPLICATIONS - 1), r], "of 4 tasks"),
     ], ids=[
         "float-index", "bool-index", "string-index", "out-of-range-index",
         "duplicate-index", "bool-replications", "negative-seed",
         "missing-start-field", "missing-user-class", "missing-result-field",
-        "string-result-field",
+        "string-result-field", "non-object-result", "missing-result",
+        "old-layout-header", "wrong-batch-size",
     ])
     def test_rejected_with_one_line(
         self, model, tmp_path, rewrite_journal, mutate, names

@@ -237,9 +237,9 @@ class TestJournaledInject:
         assert main(self.ARGS + ["--journal", str(path)]) == 0
         records = read_journal(path)
         kinds = [r["kind"] for r in records]
-        assert kinds[0] == "campaign_start"
-        assert kinds.count("replication") == 3
-        assert kinds[-1] == "campaign_end"
+        assert kinds[0] == "batch_start"
+        assert kinds.count("task_result") == 3
+        assert kinds[-1] == "batch_end"
         assert records[0]["meta"]["cli"] == "inject"
 
     def test_journal_requires_single_user_class(self, tmp_path, capsys):
@@ -266,10 +266,10 @@ class TestJournaledInject:
         assert code == 2
         assert "deadline" in capsys.readouterr().err.lower()
         records = read_journal(path)  # intact despite the interruption
-        assert records[0]["kind"] == "campaign_start"
-        completed = [r for r in records if r["kind"] == "replication"]
+        assert records[0]["kind"] == "batch_start"
+        completed = [r for r in records if r["kind"] == "task_result"]
         assert len(completed) < 100
-        assert not any(r["kind"] == "campaign_end" for r in records)
+        assert not any(r["kind"] == "batch_end" for r in records)
 
     def test_resume_completes_and_matches_uninterrupted_output(
         self, tmp_path, capsys
@@ -320,13 +320,53 @@ class TestJournaledInject:
 
         path = tmp_path / "foreign.jsonl"
         with Journal(path) as journal:
-            journal.append("campaign_start", user_class="A", meta={})
+            journal.append("batch_start", user_class="A", meta={})
         assert main(["resume", str(path)]) == 2
         assert "repro inject" in capsys.readouterr().err
 
+    def test_resume_rejects_sweep_journal(self, tmp_path, capsys):
+        path = tmp_path / "sweep.jsonl"
+        assert main(["sweep", "--servers-max", "2",
+                     "--journal", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["resume", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "not written by `repro inject --journal`" in err
+        assert err.count("\n") == 1
+
+    def test_resume_rejects_old_layout_journal(
+        self, tmp_path, capsys, rewrite_journal
+    ):
+        # The layout before campaigns journaled through the engine:
+        # campaign_start, then one replication record per result.
+        from repro.runtime import read_journal
+
+        path = tmp_path / "campaign.jsonl"
+        assert main(self.ARGS + ["--journal", str(path)]) == 0
+        capsys.readouterr()
+        start, *_ = read_journal(path)
+        fields = ("user_class", "scenario", "horizon", "replications",
+                  "seed", "default_repair_rate", "analytic_availability",
+                  "meta")
+        rewrite_journal(path, [
+            {"kind": "campaign_start", **{k: start[k] for k in fields}},
+            {"kind": "replication", "index": 0, "horizon": 800.0,
+             "average_user_availability": 0.8,
+             "fraction_fully_available": 0.7,
+             "fraction_total_outage": 0.01,
+             "resource_transitions": 12, "fault_events_applied": 0},
+        ])
+        assert main(["resume", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "'campaign_start'" in err
+        assert str(path) in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("kind, change, names", [
-        ("campaign_start", {"meta": {"cli": "inject"}}, "'architecture'"),
-        ("replication", {"index": 0.7}, "index 0.7"),
+        ("batch_start", {"meta": {"cli": "inject"}}, "'architecture'"),
+        ("task_result", {"index": 0.7}, "index 0.7"),
     ], ids=["missing-architecture", "float-index"])
     def test_resume_rejects_malformed_journal_with_one_line(
         self, tmp_path, capsys, rewrite_journal, kind, change, names
@@ -488,6 +528,47 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [
+        "oops", None, [1], float("nan"), True,
+    ], ids=["string", "null", "list", "nan", "bool"])
+    def test_tampered_journal_value_is_a_one_line_error(
+        self, tmp_path, capsys, rewrite_journal, value
+    ):
+        from repro.runtime import read_journal
+
+        path = tmp_path / "sweep.jsonl"
+        args = ["sweep", "--servers-max", "2", "--journal", str(path)]
+        assert main(args) == 0
+        capsys.readouterr()
+        records = read_journal(path)
+        tampered = next(
+            r["index"] for r in records if r["kind"] == "task_result"
+        )
+        rewrite_journal(path, [
+            {**r, "value": value}
+            if r["kind"] == "task_result" and r["index"] == tampered else r
+            for r in records
+        ])
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(path) in err
+        assert f"task {tampered} value" in err
+        assert err.count("\n") == 1
+
+    def test_campaign_journal_is_refused_by_phase(self, tmp_path, capsys):
+        path = tmp_path / "campaign.jsonl"
+        assert main(TestJournaledInject.ARGS + ["--journal", str(path)]) == 0
+        capsys.readouterr()
+        before = path.read_bytes()
+        assert main(["sweep", "--servers-max", "2",
+                     "--journal", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "'campaign class A/null' of 3 tasks" in err
+        assert err.count("\n") == 1
+        assert path.read_bytes() == before
 
     def test_invalid_workers_is_a_one_line_error(self, capsys):
         assert main(["sweep", "--workers", "0"]) == 2
