@@ -322,24 +322,22 @@ def _print_result(document: dict) -> int:
 def _cmd_workload(workload, args) -> int:
     """Run one :mod:`repro.workloads` table entry and print its text.
 
-    A workload that evaluates through the CLI's engine gets one built
-    from ``--workers``/``--cache-dir``/``--deadline``/``--progress``,
-    and the engine's cells, wall time and cache use go to stderr.
+    The workload evaluates on an engine built from
+    ``--workers``/``--deadline``/``--progress`` and, on commands that
+    have it, ``--cache-dir``; those commands also report the engine's
+    cells, wall time and cache use on stderr.
     """
     import time
+
+    from .engine import EvaluationEngine
 
     values = vars(args)
     if workload.check is not None:
         workload.check(values)
     cancellation, heartbeat = _runtime_context(args)
-    if not workload.takes_engine:
-        output = workload.run(values, cancellation, heartbeat)
-        return _print_result(workload.document(values, output))
-    from .engine import EvaluationEngine
-
     engine = EvaluationEngine(
         workers=args.workers,
-        cache_dir=args.cache_dir,
+        cache_dir=values.get("cache_dir"),
         cancellation=cancellation,
         heartbeat=heartbeat,
     )
@@ -348,55 +346,20 @@ def _cmd_workload(workload, args) -> int:
     elapsed = time.monotonic() - started
     document = workload.document(values, output)
     code = _print_result(document)
-    stats = engine.cache.stats
-    rate = f"{stats.hit_rate:.1%}" if stats.lookups else "n/a"
-    print(
-        f"engine: workers={engine.workers}, {document['cells']} cells in "
-        f"{elapsed:.2f}s; cache hits={stats.hits} misses={stats.misses} "
-        f"hit-rate={rate}",
-        file=sys.stderr,
-    )
+    if "cache_dir" in values:
+        stats = engine.cache.stats
+        rate = f"{stats.hit_rate:.1%}" if stats.lookups else "n/a"
+        print(
+            f"engine: workers={engine.workers}, {document['cells']} cells "
+            f"in {elapsed:.2f}s; cache hits={stats.hits} "
+            f"misses={stats.misses} hit-rate={rate}",
+            file=sys.stderr,
+        )
     return code
 
 
-def _cmd_inject(workload, args) -> int:
-    """``repro inject``: with ``--journal``, one journaled campaign."""
-    if args.journal is None:
-        return _cmd_workload(workload, args)
-    from .errors import ValidationError
-    from .resilience import run_campaign
-
-    if args.user_class == "both":
-        raise ValidationError(
-            "--journal records a single campaign; pick --user-class A "
-            "or B (run two journaled campaigns for both classes)"
-        )
-    cancellation, heartbeat = _runtime_context(args)
-    model, scenario = workloads.fault_campaign_setup(
-        args.scenario, args.architecture
-    )
-    results = [run_campaign(
-        model,
-        workloads.selected_classes(args.user_class)[0],
-        scenario,
-        horizon=args.horizon,
-        replications=args.replications,
-        seed=args.seed,
-        workers=args.workers,
-        cancellation=cancellation,
-        heartbeat=heartbeat,
-        journal=args.journal,
-        journal_meta={
-            "cli": "inject",
-            "architecture": args.architecture,
-            "scenario": args.scenario,
-            "user_class": args.user_class,
-        },
-    )]
-    return _print_result(workload.document(vars(args), results))
-
-
 def _cmd_resume(args) -> int:
+    from .engine import EvaluationEngine
     from .errors import ResumeError
     from .resilience import resume_campaign
     from .runtime import read_journal
@@ -428,8 +391,9 @@ def _cmd_resume(args) -> int:
         model,
         user_class,
         scenario,
-        cancellation=cancellation,
-        heartbeat=heartbeat,
+        engine=EvaluationEngine(
+            cancellation=cancellation, heartbeat=heartbeat
+        ),
     )
     text, calibrated = workloads.campaign_text(
         [result],
@@ -896,22 +860,23 @@ def _setup_instrumentation(args):
 
 
 def _workload_command(
-    workload, handler=_cmd_workload, journal: Optional[str] = None
+    workload, cache: bool = True, journal: Optional[str] = None
 ) -> Command:
     """The subcommand of a :mod:`repro.workloads` table entry.
 
-    Its flags are the workload's params, then ``--cache-dir`` when it
-    runs on the CLI's engine, the runtime/artifact flags, and
-    ``--journal`` (with *journal* as its help) when it takes one.
+    Its flags are the workload's params, then ``--cache-dir`` when
+    *cache* is set, the runtime/artifact flags, and ``--journal`` (with
+    *journal* as its help) when it takes one.
     """
     params = workload.params
-    if workload.takes_engine:
+    if cache:
         params += (CACHE_DIR,)
     params += RUNTIME
     if journal is not None:
         params += (JOURNAL._replace(help=journal),)
     return Command(
-        workload.command, workload.summary, partial(handler, workload), params
+        workload.command, workload.summary,
+        partial(_cmd_workload, workload), params,
     )
 
 
@@ -953,7 +918,8 @@ COMMANDS = {command.name: command for command in (
                help="evaluate one declared user class (default: all)"),),
         (("spec", dict(help="path to the JSON model specification")),),
     ),
-    _workload_command(workloads.CAMPAIGN, _cmd_inject, journal=(
+    # Replications have no cache key: a campaign never hits a cache.
+    _workload_command(workloads.CAMPAIGN, cache=False, journal=(
         "journal per-replication results to this JSONL file "
         "(crash-consistent; resumable via `repro resume`); "
         "requires --user-class A or B"

@@ -23,9 +23,9 @@ fast without changing a single digit of their results:
   hit/miss/eviction statistics on every result object.
 
 Each workload builds its own items and keys next to its grid:
-:func:`repro.sensitivity.sweep` / ``grid_sweep`` (``engine=``
-parameter), :func:`repro.resilience.run_campaign` (``workers=``
-parameter), :func:`repro.ta.report.availability_report`,
+:func:`repro.sensitivity.sweep` / ``grid_sweep``,
+:func:`repro.resilience.run_campaign`,
+:func:`repro.ta.report.availability_report`,
 :func:`repro.resilience.compare_client_policies` and
 :func:`repro.bayes.compare_cloud_scenarios` (``engine=`` parameter).
 See ``docs/PERFORMANCE.md`` for the architecture, the determinism

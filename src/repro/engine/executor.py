@@ -529,6 +529,11 @@ class EvaluationEngine:
         return self._tracer.span(name, category="engine")
 
     @property
+    def metrics(self) -> Optional["MetricsRegistry"]:
+        """The registry this engine records into, or None (read-only)."""
+        return self._metrics
+
+    @property
     def _instrumented(self) -> bool:
         return (
             self._metrics is not None
@@ -747,9 +752,10 @@ class EvaluationEngine:
 
         owns_journal = journal is not None and not isinstance(journal, Journal)
         restored: Dict[int, Any] = {}
+        ended = False
         if journal is not None:
             path = journal.path if isinstance(journal, Journal) else Path(journal)
-            restored = self._restore_from_journal(path, phase, keys)
+            restored, ended = self._restore_from_journal(path, phase, keys)
             if owns_journal:
                 journal = Journal(path)
             if journal.next_seq == 0:
@@ -822,11 +828,9 @@ class EvaluationEngine:
                 self._run_pool(fn, items, pending, complete, phase, counters,
                                bperf)
 
-            if journal is not None and total and done == total:
+            if journal is not None and total and done == total and not ended:
                 # Idempotent end marker (skipped when resuming past one).
-                records = read_journal(journal.path, missing_ok=True)
-                if not any(r.get("kind") == "batch_end" for r in records):
-                    journal.append("batch_end", executed=len(pending))
+                journal.append("batch_end", executed=len(pending))
         finally:
             if owns_journal and journal is not None:
                 journal.close()
@@ -965,11 +969,13 @@ class EvaluationEngine:
     @staticmethod
     def _restore_from_journal(
         path: Path, phase: str, keys: Sequence[Optional[str]]
-    ) -> Dict[int, Any]:
+    ) -> Tuple[Dict[int, Any], bool]:
+        """``(restored, ended)``: the journal's values by index, and
+        whether it already holds a ``batch_end``."""
         total = len(keys)
         records = read_journal(path, missing_ok=True)
         if not records:
-            return {}
+            return {}, False
         start = records[0]
         if start.get("kind") != "batch_start":
             raise ResumeError(
@@ -1002,4 +1008,5 @@ class EvaluationEngine:
                     "different cache key; the batch spec changed"
                 )
             restored[index] = record["value"]
-        return restored
+        ended = any(record.get("kind") == "batch_end" for record in records)
+        return restored, ended

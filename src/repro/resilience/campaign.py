@@ -22,8 +22,9 @@ Two uses:
 Fault tolerance
 ---------------
 Campaigns are the longest-running code path in the library, so each
-campaign cell is one :meth:`~repro.engine.EvaluationEngine.map` batch,
-and the engine's :mod:`repro.runtime` support applies to it:
+campaign cell is one :meth:`~repro.engine.EvaluationEngine.map` batch
+on the engine its caller gives it, and the engine's
+:mod:`repro.runtime` support applies to it:
 
 * a :class:`~repro.runtime.CancellationToken` is polled between *and
   inside* replications, so deadlines and interactive cancellation take
@@ -55,10 +56,8 @@ import numpy as np
 from .._validation import check_positive, check_positive_int, check_rate
 from ..core import HierarchicalModel
 from ..errors import ResumeError, ValidationError
-from ..obs.context import active_metrics
 from ..profiles import UserClass
 from ..runtime.budget import CancellationToken
-from ..runtime.heartbeat import HeartbeatCallback
 from ..runtime.journal import Journal, JournalLike, read_journal, record_field
 from ..sim.endtoend import (
     CompiledSimulation,
@@ -69,7 +68,7 @@ from ..sim.endtoend import (
 from .faults import FaultScenario, NullScenario
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from ..obs.metrics import MetricsRegistry
+    from ..engine import EvaluationEngine
 
 __all__ = [
     "CampaignResult",
@@ -258,21 +257,16 @@ def _run_replications(
     default_repair_rate: float,
     analytic: float,
     journal: Optional[Journal],
-    workers: int = 1,
-    cancellation: Optional[CancellationToken] = None,
-    heartbeat: Optional[HeartbeatCallback] = None,
+    engine: "EvaluationEngine",
     observer=None,
-    metrics: Optional["MetricsRegistry"] = None,
 ) -> CampaignResult:
-    """Map every replication as one engine batch; the one dispatch site.
+    """Map every replication as one *engine* batch; the one dispatch site.
 
     The engine restores the replications *journal* already holds,
     computes the rest, journals and reports each as it completes, and
     ends the journal with ``batch_end``.  The result is assembled by
     replication index.
     """
-    from ..engine import EvaluationEngine
-
     streams = np.random.SeedSequence(seed).spawn(replications)
     # One compile per cell, here in the parent: the serial loop and
     # every pool worker run the same compiled model.
@@ -281,13 +275,14 @@ def _run_replications(
         compile_simulation(model, user_class, default_repair_rate),
         scenario, horizon,
     )
-    if workers == 1 or replications == 1:
+    if engine.workers == 1 or replications == 1:
         # The engine runs these in-process (a resume is serial), so the
         # replication itself can poll the token and stream to the
         # observer.
-        work = partial(work, cancellation=cancellation, observer=observer)
-    if metrics is None:
-        metrics = active_metrics()
+        work = partial(
+            work, cancellation=engine.cancellation, observer=observer
+        )
+    metrics = engine.metrics
 
     def on_result(index: int, value: Dict[str, float]) -> None:
         metrics.counter(
@@ -307,10 +302,7 @@ def _run_replications(
             scenario=scenario.name,
         ).inc(value["resource_transitions"])
 
-    batch = EvaluationEngine(
-        workers=workers, cancellation=cancellation, heartbeat=heartbeat,
-        metrics=metrics,
-    ).map(
+    batch = engine.map(
         work, enumerate(streams), phase=_phase(user_class, scenario),
         journal=journal, on_result=None if metrics is None else on_result,
     )
@@ -327,6 +319,18 @@ def _run_replications(
     )
 
 
+def _default_engine(engine: Optional["EvaluationEngine"]):
+    """*engine*, or a serial one on the ambient instrumentation.
+
+    Imported here: :mod:`repro.engine` imports this package.
+    """
+    if engine is not None:
+        return engine
+    from ..engine import EvaluationEngine
+
+    return EvaluationEngine()
+
+
 def run_campaign(
     model: HierarchicalModel,
     user_class: UserClass,
@@ -335,13 +339,10 @@ def run_campaign(
     replications: int = 8,
     seed: int = 0,
     default_repair_rate: float = 1.0,
-    cancellation: Optional[CancellationToken] = None,
     journal: Optional[JournalLike] = None,
-    heartbeat: Optional[HeartbeatCallback] = None,
     journal_meta: Optional[dict] = None,
-    workers: int = 1,
     observer=None,
-    metrics: Optional["MetricsRegistry"] = None,
+    engine: Optional["EvaluationEngine"] = None,
 ) -> CampaignResult:
     """Run one fault-injection campaign.
 
@@ -366,31 +367,14 @@ def run_campaign(
     default_repair_rate:
         Passed through to the end-to-end simulator for resources that
         only carry an availability number.
-    cancellation:
-        Optional :class:`~repro.runtime.CancellationToken`; polled per
-        simulated transition and between replications.  On cancellation
-        or deadline the journal (if any) keeps every completed
-        replication, ready for :func:`resume_campaign`.
     journal:
         Optional :class:`~repro.runtime.Journal` (or a path to create
         one).  The file must be empty/absent — resuming an existing
         journal goes through :func:`resume_campaign` instead.
-    heartbeat:
-        Optional progress callback, given to the cell's engine: one
-        event when the batch starts and one per completed replication.
     journal_meta:
         Free-form JSON-serializable dict stored as the ``meta`` field of
         the journal's ``batch_start`` header; the CLI stashes what it
         needs to rebuild the model on ``repro resume``.
-    workers:
-        Worker processes for the replications (default 1 = in-process).
-        Because replication ``i`` always draws from its own spawned
-        stream, the parallel result is **bit-identical** to the serial
-        one; results are assembled by replication index, and the journal
-        records each replication as it completes (indices may land out
-        of order — resume handles that).  With ``workers > 1``,
-        cancellation takes effect between replication completions rather
-        than inside a replication.
     observer:
         Optional streaming consumer with ``interval(start, end,
         availability)`` and ``fault(time, event)`` — typically an
@@ -399,11 +383,23 @@ def run_campaign(
         ``i``'s events are re-based onto ``[i * horizon, (i + 1) *
         horizon)`` so the observer sees one continuous campaign
         timeline.  Streaming requires an ordered timeline, so it is
-        serial-only: combining ``observer`` with ``workers > 1`` raises
-        :class:`~repro.errors.ValidationError`.
-    metrics:
-        Registry for the ``campaign_*`` and ``engine_*`` series; by
-        default the ambient one (:func:`repro.obs.active_metrics`).
+        serial-only: combining ``observer`` with an engine of
+        ``workers > 1`` raises :class:`~repro.errors.ValidationError`.
+    engine:
+        The :class:`~repro.engine.EvaluationEngine` the replications run
+        on (default: a serial one).  Its ``workers`` parallelize them:
+        because replication ``i`` always draws from its own spawned
+        stream, the parallel result is **bit-identical** to the serial
+        one; results are assembled by replication index, and the journal
+        records each replication as it completes (indices may land out
+        of order — resume handles that).  Its ``cancellation`` token is
+        polled per simulated transition in-process and between
+        replications, so with ``workers > 1`` cancellation takes effect
+        between replication completions; on cancellation or deadline the
+        journal (if any) keeps every completed replication, ready for
+        :func:`resume_campaign`.  Its ``heartbeat`` gets one event when
+        the batch starts and one per completed replication, and its
+        metrics registry the ``campaign_*`` and ``engine_*`` series.
 
     Examples
     --------
@@ -416,12 +412,12 @@ def run_campaign(
     """
     horizon = check_positive(horizon, "horizon")
     replications = check_positive_int(replications, "replications")
-    workers = check_positive_int(workers, "workers")
     check_rate(default_repair_rate, "default_repair_rate")
-    if observer is not None and workers > 1 and replications > 1:
+    engine = _default_engine(engine)
+    if observer is not None and engine.workers > 1 and replications > 1:
         raise ValidationError(
             "a streaming observer needs the replications in timeline "
-            f"order; run with workers=1 (got workers={workers})"
+            f"order; run with workers=1 (got workers={engine.workers})"
         )
     if scenario is None:
         scenario = NullScenario()
@@ -460,9 +456,8 @@ def run_campaign(
             )
         return _run_replications(
             model, user_class, scenario, horizon, replications, seed,
-            default_repair_rate, analytic, journal,
-            workers=workers, cancellation=cancellation, heartbeat=heartbeat,
-            observer=observer, metrics=metrics,
+            default_repair_rate, analytic, journal, engine,
+            observer=observer,
         )
     finally:
         if owns_journal:
@@ -474,8 +469,7 @@ def resume_campaign(
     model: HierarchicalModel,
     user_class: UserClass,
     scenario: Optional[FaultScenario] = None,
-    cancellation: Optional[CancellationToken] = None,
-    heartbeat: Optional[HeartbeatCallback] = None,
+    engine: Optional["EvaluationEngine"] = None,
 ) -> CampaignResult:
     """Resume an interrupted campaign from its journal.
 
@@ -498,7 +492,7 @@ def resume_campaign(
         Must denote the same campaign the journal was started with;
         names and the recomputed analytic availability are checked and a
         mismatch raises :class:`~repro.errors.ResumeError`.
-    cancellation / heartbeat:
+    engine:
         As in :func:`run_campaign`; a resume can itself be interrupted
         and resumed again.
 
@@ -553,8 +547,7 @@ def resume_campaign(
     try:
         return _run_replications(
             model, user_class, scenario, horizon, replications, seed,
-            default_repair_rate, analytic, journal,
-            cancellation=cancellation, heartbeat=heartbeat,
+            default_repair_rate, analytic, journal, _default_engine(engine),
         )
     finally:
         if owns_journal:
@@ -569,23 +562,21 @@ def run_campaigns(
     replications: int = 8,
     seed: int = 0,
     default_repair_rate: float = 1.0,
-    cancellation: Optional[CancellationToken] = None,
-    heartbeat: Optional[HeartbeatCallback] = None,
-    workers: int = 1,
-    metrics: Optional["MetricsRegistry"] = None,
+    engine: Optional["EvaluationEngine"] = None,
 ) -> List[CampaignResult]:
     """The full campaign grid: every user class under every scenario.
 
     Seeds are varied per cell so campaigns never share streams, while
-    the grid remains reproducible from the single *seed*.  The
-    cancellation token and heartbeat are shared across cells (one
-    deadline bounds the whole grid); *workers* parallelizes the
-    replications within each cell; *metrics* is as in
-    :func:`run_campaign`.  Each cell is its own
-    :func:`run_campaign`; all of them borrow the worker pool their
-    thread holds (see :mod:`repro.engine.executor`), so a grid, and
-    every grid after it on the same thread, pays pool start-up once.
+    the grid remains reproducible from the single *seed*.  Every cell
+    is its own :func:`run_campaign` on the one *engine*, so its
+    cancellation token, heartbeat and metrics registry span the grid
+    (one deadline bounds the whole grid) and its ``workers``
+    parallelize the replications within each cell.  All cells borrow
+    the worker pool their thread holds (see
+    :mod:`repro.engine.executor`), so a grid, and every grid after it on
+    the same thread, pays pool start-up once.
     """
+    engine = _default_engine(engine)
     # The scenarios are walked once per class: read one-shot iterables
     # once, up front.
     user_classes = tuple(user_classes)
@@ -602,10 +593,7 @@ def run_campaigns(
                     replications=replications,
                     seed=seed + 10_000 * c + 100 * s,
                     default_repair_rate=default_repair_rate,
-                    cancellation=cancellation,
-                    heartbeat=heartbeat,
-                    workers=workers,
-                    metrics=metrics,
+                    engine=engine,
                 )
             )
     return results

@@ -260,14 +260,14 @@ def _validate_schema(records: Iterable[Record], path: Path) -> None:
 
 #: The JSON types a record field may hold for each requested Python type:
 #: exact types, so a bool never passes for an int and 0.7 never for one.
-_JSON_TYPES = {float: (int, float), int: (int,), str: (str,)}
+_JSON_TYPES = {float: (int, float), int: (int,), str: (str,), dict: (dict,)}
 
 
 def record_field(
     record: Record, name: str, kind: type, path: PathLike,
     low: Optional[int] = None,
 ):
-    """Field *name* of journal *record* as *kind*: ``float``, ``int``, ``str``.
+    """Field *name* of journal *record* as *kind*: float, int, str or dict.
 
     A journal is outside input once it is resumed, so a missing field,
     a value of the wrong JSON type, or an ``int`` below *low* raises a

@@ -130,20 +130,42 @@ class JobManager:
             # Opening repairs any torn tail; then restore the durable
             # records and continue appending to the same file.
             self._journal = Journal(journal)
-            self._restore(journal)
+            try:
+                self._restore(journal)
+            except BaseException:
+                self._journal.close()
+                raise
 
     # -- journal restore ------------------------------------------------
     def _restore(self, path) -> None:
-        from ..runtime import read_journal
+        """Rebuild the jobs *path* records, checking every field read.
+
+        The journal is outside input here: a missing or mistyped field,
+        a spec its kind no longer accepts, or a non-terminal result
+        raises a one-line :class:`~repro.errors.ResumeError` naming it.
+        """
+        from ..errors import ResumeError, ValidationError
+        from ..runtime.journal import read_journal, record_field
+        from .work import parse_spec
 
         for record in read_journal(path, missing_ok=True):
             kind = record.get("kind")
             if kind == "job_submitted":
+                job_kind = record_field(record, "job_kind", str, path)
+                try:
+                    spec = parse_spec(
+                        job_kind, record_field(record, "spec", dict, path)
+                    )
+                except ValidationError as exc:
+                    raise ResumeError(
+                        f"journal {path} job_submitted record field 'spec' "
+                        f"is not a valid {job_kind} spec: {exc}"
+                    ) from None
                 job = Job(
-                    id=record["id"],
-                    kind=record["job_kind"],
-                    spec=record["spec"],
-                    submitted=record["submitted"],
+                    id=record_field(record, "id", str, path),
+                    kind=job_kind,
+                    spec=spec,
+                    submitted=record_field(record, "submitted", float, path),
                     restored=True,
                     token=self._new_token(),
                 )
@@ -151,9 +173,18 @@ class JobManager:
                 suffix = job.id.rsplit("-", 1)[-1]
                 if suffix.isdigit():
                     self._counter = max(self._counter, int(suffix))
-            elif kind == "job_result" and record.get("id") in self._jobs:
-                job = self._jobs[record["id"]]
-                job.status = record["status"]
+            elif kind == "job_result":
+                job = self._jobs.get(record_field(record, "id", str, path))
+                if job is None:
+                    continue
+                status = record_field(record, "status", str, path)
+                if status not in TERMINAL_STATUSES:
+                    raise ResumeError(
+                        f"journal {path} job_result record field 'status' "
+                        f"must be one of {list(TERMINAL_STATUSES)}, got "
+                        f"{status!r}"
+                    )
+                job.status = status
                 job.result = record.get("result")
                 job.error = record.get("error")
         for job in self._jobs.values():

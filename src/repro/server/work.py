@@ -10,12 +10,11 @@ slot for ``hold`` seconds — traffic with *known* (exponential, if the
 client draws them so) service times, used to exercise the admission
 controller's M/M/c/K self-model under saturation.
 
-A workload whose runner evaluates through an engine the server builds
-(today sweep, policies and cloud) also accepts an optional
-``"profile": true`` spec key: the job's engine gets an explicit
-:class:`~repro.obs.PerfRecorder` and the result carries a ``profile``
-document (attribution report, kernel accounting, collapsed/speedscope
-flamegraph) served at ``GET /v1/jobs/<id>/profile``.
+Every workload runs on an engine the server builds for the job, so
+each also accepts an optional ``"profile": true`` spec key: that engine
+gets an explicit :class:`~repro.obs.PerfRecorder` and the result
+carries a ``profile`` document (attribution report, kernel accounting,
+collapsed/speedscope flamegraph) served at ``GET /v1/jobs/<id>/profile``.
 
 Specs are validated eagerly at submission time against the same
 :class:`~repro.workloads.Param` schemas that generate the CLI flags —
@@ -59,9 +58,8 @@ def parse_spec(kind: str, spec: dict) -> dict:
         )
     workload = _WORKLOADS.get(kind)
     params = _PROBE if workload is None else workload.server_params
-    profiled = workload is not None and workload.takes_engine
     allowed = {p.name for p in params}
-    if profiled:
+    if workload is not None:
         allowed.add("profile")
     unknown = sorted(set(spec) - allowed)
     if unknown:
@@ -73,7 +71,7 @@ def parse_spec(kind: str, spec: dict) -> dict:
         p.name: workloads.check_param(p, spec.get(p.name, p.default), p.name)
         for p in params
     }
-    if profiled:
+    if workload is not None:
         values["profile"] = spec.get("profile", False)
         if not isinstance(values["profile"], bool):
             raise ValidationError(
@@ -122,10 +120,6 @@ def execute_job(
         workload = _WORKLOADS[kind]
     except KeyError:
         raise ValidationError(f"unknown job kind {kind!r}") from None
-    if not workload.takes_engine:
-        return workload.document(
-            spec, workload.run(spec, token, progress, metrics=metrics)
-        )
     from ..engine import EvaluationEngine
 
     recorder = _job_recorder(spec)

@@ -172,12 +172,12 @@ class Workload(NamedTuple):
     JSON spec keys; ``server_defaults`` replace some defaults for a
     server job, which should come back in seconds.
 
-    ``run(values, engine)`` — or ``run(values, cancellation,
-    heartbeat, metrics=None)`` for a workload that builds its own
-    engines — evaluates a mapping of checked values; ``document(values,
-    output)`` turns the output into the server's JSON result, whose
-    ``text`` is exactly what the CLI prints.  ``check(values)``, when
-    given, enforces the cross-field rules a single param cannot.
+    ``run(values, engine)`` evaluates a mapping of checked values on
+    the front end's :class:`~repro.engine.EvaluationEngine`;
+    ``document(values, output)`` turns the output into the server's
+    JSON result, whose ``text`` is exactly what the CLI prints.
+    ``check(values)``, when given, enforces the cross-field rules a
+    single param cannot.
     """
 
     kind: str
@@ -189,18 +189,6 @@ class Workload(NamedTuple):
     document: Callable[..., dict]
     server_defaults: Tuple[Tuple[str, object], ...] = ()
     check: Optional[Callable] = None
-
-    @property
-    def takes_engine(self) -> bool:
-        """Whether :attr:`run` evaluates through the caller's engine.
-
-        Only then can a front end give that engine a cache
-        (``--cache-dir``) or a server job's own recorder (``"profile":
-        true``).
-        """
-        import inspect
-
-        return "engine" in inspect.signature(self.run).parameters
 
     @property
     def server_params(self) -> Tuple[Param, ...]:
@@ -456,29 +444,18 @@ def run_fault_campaigns(
     replications: int = REPLICATIONS.default,
     seed: int = SEED.default,
     workers: int = WORKERS.default,
-    cancellation=None,
-    heartbeat=None,
-    metrics=None,
 ):
-    """The ``repro inject`` campaign grid for one named scenario.
+    """The ``repro inject`` campaign grid for one named scenario, on an
+    engine of *workers* processes and the ambient instrumentation."""
+    from .engine import EvaluationEngine
 
-    *metrics* receives the campaign and engine series; by default the
-    ambient registry does.
-    """
-    from .resilience import run_campaigns
-
-    model, built = fault_campaign_setup(scenario, architecture)
-    return run_campaigns(
-        model,
-        selected_classes(user_class),
-        [built],
-        horizon=horizon,
-        replications=replications,
-        seed=seed,
-        workers=workers,
-        cancellation=cancellation,
-        heartbeat=heartbeat,
-        metrics=metrics,
+    return _run_campaigns(
+        dict(
+            scenario=scenario, architecture=architecture,
+            user_class=user_class, horizon=horizon,
+            replications=replications, seed=seed,
+        ),
+        EvaluationEngine(workers=workers),
     )
 
 
@@ -778,14 +755,41 @@ def _cloud_document(values, report) -> dict:
     }
 
 
-def _run_campaigns(values, cancellation=None, heartbeat=None, metrics=None):
-    # The campaign params are run_fault_campaigns's keyword names.
-    return run_fault_campaigns(
-        **{p.name: values[p.name] for p in CAMPAIGN.params},
-        cancellation=cancellation,
-        heartbeat=heartbeat,
-        metrics=metrics,
+def _run_campaigns(values, engine):
+    from .resilience import run_campaign, run_campaigns
+
+    model, scenario = fault_campaign_setup(
+        values["scenario"], values["architecture"]
     )
+    classes = selected_classes(values["user_class"])
+    common = dict(
+        horizon=values["horizon"], replications=values["replications"],
+        seed=values["seed"], engine=engine,
+    )
+    if values.get("journal") is None:
+        return run_campaigns(model, classes, [scenario], **common)
+    # ``repro inject --journal``: one campaign, with what ``repro
+    # resume`` needs to rebuild it.
+    return [run_campaign(
+        model, classes[0], scenario, **common,
+        journal=values["journal"],
+        journal_meta={
+            "cli": "inject",
+            "architecture": values["architecture"],
+            "scenario": values["scenario"],
+            "user_class": values["user_class"],
+        },
+    )]
+
+
+def _check_campaign(values) -> None:
+    from .errors import ValidationError
+
+    if values.get("journal") is not None and values["user_class"] == "both":
+        raise ValidationError(
+            "--journal records a single campaign; pick --user-class A "
+            "or B (run two journaled campaigns for both classes)"
+        )
 
 
 def _campaign_document(values, results) -> dict:
@@ -842,6 +846,7 @@ CAMPAIGN = Workload(
     # A server campaign is a short run: a request should come back in
     # seconds, not take the CLI's 6 x 5000 h.
     server_defaults=(("horizon", 100.0), ("replications", 4)),
+    check=_check_campaign,
 )
 
 #: Every workload the CLI and the server both serve.

@@ -239,6 +239,28 @@ class TestJournalResume:
         assert replay.restored == 2
         assert replay.executed == 0
 
+    def test_journaled_map_reads_its_journal_once(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.engine import executor
+
+        reads = []
+
+        def counting_read(path, **kwargs):
+            reads.append(path)
+            return read_journal(path, **kwargs)
+
+        monkeypatch.setattr(executor, "read_journal", counting_read)
+        items = [1.0, 2.0]
+        path = tmp_path / "batch.jsonl"
+        EvaluationEngine().map(_cube, items, journal=path)
+        assert len(reads) == 1
+        # A replay of the ended batch restores it without ending it twice.
+        EvaluationEngine().map(_cube, items, journal=path)
+        assert len(reads) == 2
+        kinds = [r["kind"] for r in read_journal(path)]
+        assert kinds.count("batch_end") == 1
+
     def test_mismatched_journal_rejected(self, tmp_path):
         path = tmp_path / "batch.jsonl"
         EvaluationEngine().map(_cube, [1.0, 2.0], journal=path)

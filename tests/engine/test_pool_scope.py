@@ -97,11 +97,15 @@ def _stopped(pools):
 class TestCampaignGridSharesOnePool:
     def test_two_by_two_grid_builds_one_pool(self, pools):
         grid = (TA.hierarchical_model, (CLASS_A, CLASS_B), SCENARIOS)
-        parallel = run_campaigns(*grid, workers=2, **GRID)
+        parallel = run_campaigns(
+            *grid, engine=EvaluationEngine(workers=2), **GRID
+        )
         assert len(pools) == 1
         assert not pools[0].shut_down  # held for the next grid
 
-        assert run_campaigns(*grid, workers=1, **GRID) == parallel
+        assert run_campaigns(
+            *grid, engine=EvaluationEngine(workers=1), **GRID
+        ) == parallel
         separate = [
             run_campaign(
                 TA.hierarchical_model, user_class, scenario,
@@ -196,7 +200,10 @@ class TestScopeRobustness:
         with pytest.raises(CancelledError):
             run_campaigns(
                 TA.hierarchical_model, (CLASS_A, CLASS_B), SCENARIOS,
-                workers=2, cancellation=token, heartbeat=cancel_after_first,
+                engine=EvaluationEngine(
+                    workers=2, cancellation=token,
+                    heartbeat=cancel_after_first,
+                ),
                 horizon=300.0, replications=4, seed=5,
             )
         # The grid started no pool of its own, and the held one still

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine import EvaluationEngine
 from repro.errors import ObservabilityError, ValidationError
 from repro.obs.slo import (
     BurnRateWindow,
@@ -278,7 +279,7 @@ class TestCampaignIntegration:
         with pytest.raises(ValidationError, match="workers"):
             run_campaign(
                 model, CLASS_A, horizon=100.0, replications=2, seed=1,
-                workers=2, observer=monitor,
+                engine=EvaluationEngine(workers=2), observer=monitor,
             )
 
     def test_observer_does_not_change_results(self):

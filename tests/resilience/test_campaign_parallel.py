@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import EvaluationEngine
 from repro.errors import CancelledError, ValidationError
 from repro.obs import MetricsRegistry, Tracer, instrumented
 from repro.resilience import RecurrentOutage, resume_campaign, run_campaign
@@ -19,7 +20,10 @@ TA = TravelAgencyModel()
 
 
 def _campaign(workers, **overrides):
-    kwargs = dict(horizon=400.0, replications=3, seed=7, workers=workers)
+    kwargs = dict(
+        horizon=400.0, replications=3, seed=7,
+        engine=EvaluationEngine(workers=workers),
+    )
     kwargs.update(overrides)
     return run_campaign(TA.hierarchical_model, CLASS_A, **kwargs)
 
@@ -50,10 +54,12 @@ class TestParallelEqualsSerial:
     def test_property_any_seed_and_size(self, seed, replications, user_class):
         kwargs = dict(horizon=250.0, replications=replications, seed=seed)
         serial = run_campaign(
-            TA.hierarchical_model, user_class, workers=1, **kwargs
+            TA.hierarchical_model, user_class,
+            engine=EvaluationEngine(workers=1), **kwargs
         )
         parallel = run_campaign(
-            TA.hierarchical_model, user_class, workers=2, **kwargs
+            TA.hierarchical_model, user_class,
+            engine=EvaluationEngine(workers=2), **kwargs
         )
         assert parallel.values == serial.values
 
@@ -149,8 +155,11 @@ class TestSerialParallelParity:
 
         with pytest.raises(CancelledError):
             run_campaign(
-                TA.hierarchical_model, CLASS_A, workers=2, journal=path,
-                cancellation=token, heartbeat=assassin, **kwargs,
+                TA.hierarchical_model, CLASS_A, journal=path,
+                engine=EvaluationEngine(
+                    workers=2, cancellation=token, heartbeat=assassin
+                ),
+                **kwargs,
             )
         start, *done = read_journal(path)
         assert 2 <= len(done) < 6

@@ -83,6 +83,7 @@ class TestWatchdog:
             Watchdog().assert_alive(within=5.0)
 
     def test_campaign_emits_heartbeats(self):
+        from repro.engine import EvaluationEngine
         from repro.resilience import run_campaign
         from repro.ta import CLASS_A, TravelAgencyModel
 
@@ -90,7 +91,8 @@ class TestWatchdog:
         model = TravelAgencyModel()
         run_campaign(
             model.hierarchical_model, CLASS_A,
-            horizon=200.0, replications=2, seed=0, heartbeat=watchdog,
+            horizon=200.0, replications=2, seed=0,
+            engine=EvaluationEngine(heartbeat=watchdog),
         )
         # One "starting" beat plus one per replication.
         assert [e.completed for e in watchdog.beats] == [0, 1, 2]

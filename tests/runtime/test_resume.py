@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import EvaluationEngine
 from repro.errors import CancelledError, DeadlineExceededError, ResumeError
 from repro.resilience import RecurrentOutage, resume_campaign, run_campaign
 from repro.runtime import Budget, CancellationToken, Journal, read_journal
@@ -42,7 +43,8 @@ def _interrupted_then_resumed(model, path, kill_after, seed, scenario=None):
         run_campaign(
             model, CLASS_A, scenario=scenario,
             horizon=HORIZON, replications=REPLICATIONS, seed=seed,
-            journal=path, cancellation=token, heartbeat=assassin,
+            journal=path,
+            engine=EvaluationEngine(cancellation=token, heartbeat=assassin),
         )
     journaled = read_journal(path)
     completed = [r for r in journaled if r["kind"] == "task_result"]
@@ -128,7 +130,10 @@ class TestDeadlineLeavesResumableJournal:
             run_campaign(
                 model, CLASS_A,
                 horizon=HORIZON, replications=REPLICATIONS, seed=5,
-                journal=path, cancellation=token, heartbeat=expire_after_two,
+                journal=path,
+                engine=EvaluationEngine(
+                    cancellation=token, heartbeat=expire_after_two
+                ),
             )
         resumed = resume_campaign(path, model, CLASS_A)
         uninterrupted = run_campaign(
@@ -151,7 +156,10 @@ class TestResumeValidation:
             run_campaign(
                 model, CLASS_A,
                 horizon=HORIZON, replications=REPLICATIONS, seed=0,
-                journal=path, cancellation=token, heartbeat=assassin,
+                journal=path,
+                engine=EvaluationEngine(
+                    cancellation=token, heartbeat=assassin
+                ),
                 **kwargs,
             )
         return path
@@ -227,7 +235,10 @@ class TestResumeProgress:
         start, *replications = read_journal(path)[:4]
         rewrite_journal(path, [start, replications[1]])
         beats = []
-        resume_campaign(path, model, CLASS_A, heartbeat=beats.append)
+        resume_campaign(
+            path, model, CLASS_A,
+            engine=EvaluationEngine(heartbeat=beats.append),
+        )
         assert [(e.completed, e.total) for e in beats] == [
             (1, 3), (2, 3), (3, 3)
         ]

@@ -257,6 +257,80 @@ class TestJournalIntegrity:
         assert second_id == "job-000002"
 
 
+class TestMalformedJournal:
+    """A restored journal is outside input: a bad record is a one-line
+    :class:`~repro.errors.ResumeError` naming the journal and field."""
+
+    SUBMITTED = {
+        "id": "job-000001", "job_kind": "probe", "spec": {"hold": 0.0},
+        "submitted": 1.0,
+    }
+
+    def write(self, path, *records):
+        from repro.runtime import Journal
+
+        with Journal(path) as journal:
+            for kind, fields in records:
+                journal.append(kind, **fields)
+        return path
+
+    def restore_error(self, path):
+        from repro.errors import ResumeError
+
+        with pytest.raises(ResumeError) as excinfo:
+            make_manager(journal=path)
+        message = str(excinfo.value)
+        assert str(path) in message and "\n" not in message
+        return message
+
+    @pytest.mark.parametrize("field", ["id", "job_kind", "spec", "submitted"])
+    def test_missing_submission_field(self, tmp_path, field):
+        fields = {k: v for k, v in self.SUBMITTED.items() if k != field}
+        path = self.write(tmp_path / "j.jsonl", ("job_submitted", fields))
+        assert repr(field) in self.restore_error(path)
+
+    def test_non_object_spec_is_not_restored(self, tmp_path):
+        path = self.write(tmp_path / "j.jsonl", (
+            "job_submitted", {**self.SUBMITTED, "spec": [1, 2]}
+        ))
+        assert "'spec'" in self.restore_error(path)
+
+    def test_restored_spec_is_revalidated(self, tmp_path):
+        path = self.write(tmp_path / "j.jsonl", (
+            "job_submitted",
+            {**self.SUBMITTED, "job_kind": "sweep", "spec": {"figure": "13"}},
+        ))
+        message = self.restore_error(path)
+        assert "'spec'" in message and "figure" in message
+
+    def test_non_terminal_result_status(self, tmp_path):
+        path = self.write(
+            tmp_path / "j.jsonl",
+            ("job_submitted", self.SUBMITTED),
+            ("job_result", {"id": "job-000001", "status": "queued"}),
+        )
+        assert "'status'" in self.restore_error(path)
+
+    def test_restored_spec_is_normalized(self, tmp_path):
+        path = self.write(tmp_path / "j.jsonl", (
+            "job_submitted",
+            {**self.SUBMITTED, "job_kind": "sweep", "spec": {}},
+        ))
+        manager = make_manager(journal=path)
+        run(manager.stop())  # closes the journal; no worker ever ran
+        assert manager.get("job-000001").spec["figure"] == "11"
+
+    def test_serve_exits_2_with_one_line(self, tmp_path, capsys):
+        from repro.cli import main
+
+        fields = {k: v for k, v in self.SUBMITTED.items() if k != "spec"}
+        path = self.write(tmp_path / "j.jsonl", ("job_submitted", fields))
+        assert main(["serve", "--port", "0", "--journal", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'spec'" in err
+        assert "Traceback" not in err
+
+
 class TestRejectionAndMetrics:
     def test_rejection_counts_and_metric(self):
         registry = MetricsRegistry()

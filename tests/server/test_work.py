@@ -127,10 +127,6 @@ class TestParseSpec:
             parse_spec("sweep", {"profile": value})
         assert "'profile' must be a boolean" in str(excinfo.value)
 
-    def test_profile_key_rejected_on_campaign(self):
-        with pytest.raises(ValidationError):
-            parse_spec("campaign", {"profile": True})
-
     def test_cloud_validates_values(self):
         with pytest.raises(ValidationError):
             parse_spec("cloud", {"arrival_rate": 0})
@@ -181,8 +177,8 @@ class TestExecuteJob:
         assert result["campaigns"][0]["user_class"] == "class A"
 
     def test_campaign_job_records_into_its_registry(self):
-        # A campaign builds its own engines; the job's registry must
-        # still reach them, as it reaches the engine workloads.
+        # A campaign runs on the job's engine, so the job's registry
+        # reaches every cell, as it reaches the other workloads.
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
@@ -246,6 +242,21 @@ class TestExecuteJob:
         recorder.write_artifacts(tmp_path)
         cli_text = (tmp_path / "attribution.txt").read_text(encoding="utf-8")
         assert profile["text"] + "\n" == cli_text
+
+    def test_profiled_campaign_attributes_every_cell(self):
+        # A campaign job runs on its job's engine like every other kind,
+        # so a profiled one attributes each (user class, scenario) cell.
+        values = {"scenario": "lan-host", "workers": 2}
+        spec = parse_spec("campaign", {**values, "profile": True})
+        result = execute_job("campaign", spec)
+        batches = result["profile"]["attribution"]["batches"]
+        assert [(b["phase"], b["tasks"]) for b in batches] == [
+            ("campaign class A/recurrent-outage", 4),
+            ("campaign class B/recurrent-outage", 4),
+        ]
+        plain = execute_job("campaign", parse_spec("campaign", values))
+        assert "profile" not in plain
+        assert result["text"] == plain["text"]
 
     def test_profiled_policies_attaches_profile_document(self):
         spec = parse_spec("policies", {"profile": True})

@@ -242,6 +242,23 @@ class TestJournaledInject:
         assert kinds[-1] == "batch_end"
         assert records[0]["meta"]["cli"] == "inject"
 
+    def test_journaled_run_bytes_are_pinned(self, tmp_path, capsys):
+        # The journal and the stdout of one journaled campaign, pinned
+        # byte for byte: the journal is what `repro resume` reads back.
+        path = tmp_path / "J"
+        assert main([
+            "inject", "--scenario", "lan-host", "--user-class", "A",
+            "--horizon", "300", "--replications", "4", "--seed", "5",
+            "--journal", str(path),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "8ab08cf6a04121bc82055138a2078127ca04c1d92b0b35af9ebde0f77e72fc29"
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "55235c14febf2588daf4480c921e408743b64b301407910b06e75d00f19e5b40"
+        )
+
     def test_journal_requires_single_user_class(self, tmp_path, capsys):
         path = tmp_path / "campaign.jsonl"
         assert main([
